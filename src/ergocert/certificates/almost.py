@@ -5,9 +5,20 @@ set can collect beyond a modulus of its own mass plus a leakage term.
 All verdicts are bounded-horizon: powers or running averages up to a cap
 plus the exact limiting averages from the class decomposition, labelled
 "limit" in reports.
+
+Those rows are kept per (system, reference, horizon) in an Evidence
+object, which computes each family once. The leakage, invariance and
+index checks each read a selection of it: the powers, the means from
+step n0 on, or the means on the doubling grid, with or without the
+limit. Called with a system, a check makes its own evidence; a caller
+scoring several checks on the same triple makes one and passes it in
+place of the system.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,36 +63,74 @@ def _require_positive_mass(m: Measure):
         raise ValueError("reference measure must have positive mass")
 
 
-def _evidence_rows(S, m: Measure, horizon: int, mode: str, n0: int = 1,
-                   include_limit: bool = True, dense: bool = True):
-    """(tag, weights) pairs for powers or running averages of the flow.
+@dataclass(frozen=True, eq=False)
+class Evidence:
+    """The rows the almost-invariance checks score, for one (system, m, horizon).
 
-    Discrete semigroups sweep every step up to the horizon when dense,
-    else the doubling grid; continuous ones always use the doubling time
-    grid. The exact limiting averages are appended last when requested.
+    powers and means hold (tag, row) pairs: m P^n and m S_n at every
+    step n = 1..horizon of a kernel, or m P_t and the time average of
+    m P_s over [0, t] along the doubling time grid of a generator. limit
+    is m Pi, the reference pushed through the averaging projector and
+    clipped at zero. Each of the three is computed when a check first
+    reads it and kept for the next one, so a caller scoring several
+    checks on the same triple passes one Evidence to each in place of
+    the system, and a check that reads only the means never computes
+    the powers.
     """
-    rows = []
-    if isinstance(S, Kernel):
-        if mode == "power":
-            it = power_rows(S, m, horizon)
-        elif mode == "mean":
-            it = mean_rows(S, m, horizon, n0=n0)
-        else:
+
+    system: object
+    m: Measure
+    horizon: int
+
+    @cached_property
+    def powers(self) -> tuple:
+        if isinstance(self.system, Kernel):
+            return tuple(power_rows(self.system, self.m, self.horizon))
+        return tuple(continuous_power_rows(self.system, self.m, self._ts()))
+
+    @cached_property
+    def means(self) -> tuple:
+        if isinstance(self.system, Kernel):
+            return tuple(mean_rows(self.system, self.m, self.horizon))
+        return tuple(continuous_mean_rows(self.system, self.m, self._ts()))
+
+    @cached_property
+    def limit(self) -> np.ndarray:
+        return np.clip(limit_row(self.system, self.m), 0.0, None)
+
+    def _ts(self) -> list:
+        return [float(t) for t in geometric_horizons(self.horizon)]
+
+    def rows(self, mode: str, include_limit: bool = True, n0: int = 1,
+             doubling: bool = False) -> list:
+        """(tag, row) pairs of the "power" or "mean" family, limit last.
+
+        For a kernel, n0 drops the means before step n0 and doubling
+        keeps only the steps 1, 2, 4, ... and the horizon; a generator's
+        rows lie on the doubling grid already.
+        """
+        if mode not in ("power", "mean"):
             raise ValueError(f"unknown row mode {mode!r}")
-        if dense:
-            rows = list(it)
-        else:
-            keep = set(geometric_horizons(horizon))
-            rows = [(n, v) for n, v in it if n in keep]
-    else:
-        ts = [float(t) for t in geometric_horizons(horizon)]
-        if mode == "power":
-            rows = continuous_power_rows(S, m, ts)
-        else:
-            rows = continuous_mean_rows(S, m, ts)
-    if include_limit:
-        rows.append((LIMIT, np.clip(limit_row(S, m), 0.0, None)))
-    return rows
+        rows = list(self.powers if mode == "power" else self.means)
+        if isinstance(self.system, Kernel):
+            if mode == "mean":
+                rows = [(n, v) for n, v in rows if n >= n0]
+            if doubling:
+                keep = set(geometric_horizons(self.horizon))
+                rows = [(n, v) for n, v in rows if n in keep]
+        if include_limit:
+            rows.append((LIMIT, self.limit))
+        return rows
+
+
+def _evidence(S, m: Measure, horizon: int) -> Evidence:
+    """S when it is the evidence of (m, horizon) already, else new."""
+    if not isinstance(S, Evidence):
+        return Evidence(S, m, horizon)
+    if S.m is not m or S.horizon != horizon:
+        raise ValueError("the evidence was built for another reference "
+                         "measure or horizon")
+    return S
 
 
 def _excess_and_set(row: np.ndarray, m: Measure, phi):
@@ -138,7 +187,8 @@ def optimal_linear_params(S, m: Measure, horizon: int = 256,
     every markovian flow row on the support, so the worst excess reduces
     to the flow into the null atoms; delta is that flow's sup over the
     horizon (and the limit) divided by total mass. mode "mean" scores
-    the running averages instead of the powers.
+    the running averages instead of the powers. S may be the Evidence
+    of (m, horizon) in place of the system.
     """
     _require_positive_mass(m)
     w = m.weights
@@ -147,8 +197,7 @@ def optimal_linear_params(S, m: Measure, horizon: int = 256,
     null = w <= 0.0
     sup = 0.0
     arg = None
-    for tag, row in _evidence_rows(S, m, horizon, mode,
-                                   include_limit=include_limit):
+    for tag, row in _evidence(S, m, horizon).rows(mode, include_limit):
         val = float(row[null].sum()) if null.any() else 0.0
         if val > sup or arg is None:
             sup, arg = val, tag
@@ -156,25 +205,19 @@ def optimal_linear_params(S, m: Measure, horizon: int = 256,
             "worst_horizon": arg}
 
 
-def _invariance_sweep(S, m, params, mode, include_limit):
-    rows = _evidence_rows(S, m, params.horizon, mode, n0=params.n0,
-                          include_limit=include_limit)
-    worst = -np.inf
-    worst_tag = None
-    worst_members = ()
-    mass_floor = np.inf
-    for tag, row in rows:
-        mass_floor = min(mass_floor, float(row.sum()))
-        val, members = _excess_and_set(row, m, params.phi)
-        if val > worst:
-            worst, worst_tag, worst_members = val, tag, members
-    return worst, worst_tag, worst_members, mass_floor
-
-
 def _invariance_verdict(S, m, params, mode, include_limit, condition):
     _require_positive_mass(m)
-    worst, tag, members, mass_floor = _invariance_sweep(
-        S, m, params, mode, include_limit)
+    ev = _evidence(S, m, params.horizon)
+    S = ev.system
+    worst = -np.inf
+    tag = None
+    members = ()
+    mass_floor = np.inf
+    for t, row in ev.rows(mode, include_limit, n0=params.n0):
+        mass_floor = min(mass_floor, float(row.sum()))
+        val, found = _excess_and_set(row, m, params.phi)
+        if val > worst:
+            worst, tag, members = val, t, found
     delta_min = worst / m.mass
     tol = 1e-12 * max(1.0, params.delta)
     ok = delta_min <= params.delta + tol
@@ -212,7 +255,8 @@ def check_almost_invariant(S, m: Measure, params: AlmostInvarianceParams,
     """Every power of the flow stays below phi(set mass) + delta * m(E).
 
     Reports the minimal leakage fraction delta_min actually achieved at
-    the given modulus; the verdict compares it against params.delta.
+    the given modulus; the verdict compares it against params.delta. S
+    may be the Evidence of (m, params.horizon) in place of the system.
     """
     return _invariance_verdict(S, m, params, "power", include_limit,
                                "almost-invariance")
@@ -225,7 +269,7 @@ def check_mean_almost_invariant(S, m: Measure, params: AlmostInvarianceParams,
     Same sweep as check_almost_invariant with S_n in place of P^n, for
     n0 <= n <= horizon. For sub-markovian kernels the smallest averaged
     total mass over the sweep is reported; it equals m(E) in the
-    markovian case.
+    markovian case. S may be the Evidence of (m, params.horizon).
     """
     return _invariance_verdict(S, m, params, "mean", include_limit,
                                "mean-almost-invariance")
@@ -260,7 +304,8 @@ def index_profile(S, m: Measure, eps_grid=None, horizon: int = 256,
     mass (markovian) or the smallest averaged mass (sub-markovian),
     shrunk by the relative margin. When a truncated search leaves that
     value bracketed between crisp and fractional and the bracket
-    straddles the threshold, the verdict is inconclusive.
+    straddles the threshold, the verdict is inconclusive. S may be the
+    Evidence of (m, horizon) in place of the system.
     """
     if method not in ("exact_dp", "fractional", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -271,8 +316,9 @@ def index_profile(S, m: Measure, eps_grid=None, horizon: int = 256,
     if any(e <= 0.0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps_grid must be positive and strictly decreasing")
 
-    rows = _evidence_rows(S, m, horizon, "mean", dense=False,
-                          include_limit=include_limit)
+    ev = _evidence(S, m, horizon)
+    S = ev.system
+    rows = ev.rows("mean", include_limit, doubling=True)
     tags = tuple(tag for tag, _ in rows)
     w = m.weights
     threshold = m.mass
@@ -510,7 +556,8 @@ def check_partial_subinvariance(K: Kernel, m: Measure,
     rows = K.rows
     n = K.size
     tol = 1e-12 * max(1.0, float(w.max()))
-    can_limit = K.kind in ("markovian", "sub-markovian")
+    pi = (averaging_projector(K)
+          if K.kind in ("markovian", "sub-markovian") else None)
 
     def deep_violation(mask):
         """First (step, atom) where the restricted flow exceeds m."""
@@ -521,10 +568,8 @@ def check_partial_subinvariance(K: Kernel, m: Measure,
             j = int(np.argmax(bad))
             if bad[j] > tol:
                 return step, j
-        if can_limit:
-            from ..solver import averaging_projector
-            lim = (w * mask) @ averaging_projector(K)
-            bad = lim - w
+        if pi is not None:
+            bad = (w * mask) @ pi - w
             j = int(np.argmax(bad))
             if bad[j] > tol:
                 return LIMIT, j
@@ -532,8 +577,7 @@ def check_partial_subinvariance(K: Kernel, m: Measure,
 
     def drop_heaviest(mask, step, atom):
         if step == LIMIT:
-            from ..solver import averaging_projector
-            col = averaging_projector(K)[:, atom]
+            col = pi[:, atom]
         elif step == 1:
             col = rows[:, atom]
         else:
@@ -644,9 +688,10 @@ def check_occupation_half(S, nu: Measure, target: StateSet, t_grid=None,
             notes += ("; conclusion measure built from the limiting "
                       "occupation restricted to the target")
         elif m_conc.mass > 0.0:
-            best = optimal_linear_params(S, m_conc, horizon=horizon)
+            ev = Evidence(S, m_conc, horizon)
+            best = optimal_linear_params(ev, m_conc, horizon=horizon)
             derived = check_almost_invariant(
-                S, m_conc,
+                ev, m_conc,
                 AlmostInvarianceParams(PhiLinear(best["c"]),
                                        best["delta"] + 1e-12,
                                        horizon=horizon))

@@ -4,6 +4,9 @@ Each helper pushes a fixed start measure through the dynamics and hands
 back (horizon, weight-vector) pairs. Limits come from the class
 decomposition, never from long runs; the limiting horizon is tagged with
 the string "limit" so reports can tell it apart from finite evidence.
+The leakage, invariance and index checks read these rows through the
+Evidence object of certificates.almost, which calls each helper at most
+once per (system, reference, horizon) and shares the rows among them.
 """
 
 from __future__ import annotations

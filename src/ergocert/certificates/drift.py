@@ -19,11 +19,13 @@ import math
 
 import numpy as np
 
-from ..core import Kernel, Measure, StateFn, StateSet, apply, push
+from ..core import (Kernel, Measure, StateFn, apply, push, state_index,
+                    state_mask, state_values)
 from ..semigroup import discrete_resolvent
 from ..solver import averaging_projector
-from .almost import (check_absolute_continuity, check_almost_invariant,
-                     check_mean_almost_invariant, optimal_linear_params)
+from .almost import (Evidence, check_absolute_continuity,
+                     check_almost_invariant, check_mean_almost_invariant,
+                     optimal_linear_params)
 from .phi import AlmostInvarianceParams, PhiLinear
 from .types import FAILS, HOLDS, INCONCLUSIVE, Certificate
 from .worstset import signed_excess, worst_set_search
@@ -45,47 +47,6 @@ __all__ = [
     "additive_drift_occupation_bound",
     "generalized_drift_occupation_bound",
 ]
-
-
-def _fn_values(space, f, name, low=None, finite=False):
-    """Coerce a StateFn or array-like to a values vector and validate."""
-    if isinstance(f, StateFn):
-        if f.space is not space and f.space != space:
-            raise ValueError(f"{name} lives on a different state space")
-        v = f.values
-    else:
-        v = np.asarray(f, dtype=float).reshape(-1)
-        if v.shape != (space.size,):
-            raise ValueError(f"{name} needs {space.size} values, got {v.shape}")
-        if np.isnan(v).any():
-            raise ValueError(f"{name} must not contain NaN")
-    if finite and np.isinf(v).any():
-        raise ValueError(f"{name} must be finite")
-    if low is not None and (v[np.isfinite(v)] < low).any():
-        raise ValueError(f"{name} must be >= {low}")
-    return v
-
-
-def _set_mask(space, C, name="set"):
-    if isinstance(C, StateSet):
-        if C.space is not space and C.space != space:
-            raise ValueError(f"{name} lives on a different state space")
-        return C.mask
-    arr = np.asarray(C)
-    if arr.dtype == bool:
-        if arr.shape != (space.size,):
-            raise ValueError(f"{name} mask has wrong length")
-        return arr.copy()
-    return StateSet(space, arr.tolist()).mask
-
-
-def _state_index(space, s):
-    if isinstance(s, (int, np.integer)):
-        i = int(s)
-        if not 0 <= i < space.size:
-            raise ValueError(f"state index {i} out of range")
-        return i
-    return space.index(s)
 
 
 def _ptol(*arrays):
@@ -142,7 +103,7 @@ def check_smallness(P: Kernel, C) -> Certificate:
     when that minimum carries positive total mass alpha, in which case
     the normalized minimum is the minorizing probability.
     """
-    mask = _set_mask(P.space, C)
+    mask = state_mask(P.space, C)
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         raise ValueError("smallness needs a nonempty set")
@@ -168,7 +129,7 @@ def fit_drift_constants(P: Kernel, V, gamma: float | None = None):
     states where that ratio is below one; b is then the largest residual
     anywhere. Supplying gamma just fits b.
     """
-    v = _fn_values(P.space, V, "V", low=0.0)
+    v = state_values(P.space, V, "V", low=0.0)
     pv = _kernel_image(P, v)
     fin = np.isfinite(v) & np.isfinite(pv)
     if gamma is None:
@@ -197,7 +158,7 @@ def check_geometric_drift(P: Kernel, V, gamma: float, b: float,
         raise ValueError("gamma must lie in (0, 1)")
     if b < 0.0:
         raise ValueError("b must be nonnegative")
-    v = _fn_values(P.space, V, "V", low=0.0)
+    v = state_values(P.space, V, "V", low=0.0)
 
     tol = _ptol(v[np.isfinite(v)], [b])
     worst, worst_idx, _ = _pointwise_drift(P, v, gamma * v + b)
@@ -252,8 +213,8 @@ def check_localized_drift(P: Kernel, V, gamma: float, b: float,
         raise ValueError("gamma must lie in (0, 1)")
     if b < 0.0:
         raise ValueError("b must be nonnegative")
-    v = _fn_values(P.space, V, "V", low=1.0)
-    mask = _set_mask(P.space, S)
+    v = state_values(P.space, V, "V", low=1.0)
+    mask = state_mask(P.space, S)
 
     tol = _ptol(v[np.isfinite(v)], [b])
     worst, worst_idx, _ = _pointwise_drift(P, v, gamma * v + b * mask)
@@ -299,10 +260,10 @@ def check_additive_drift(P: Kernel, V, b: float, C,
     """
     if b < 0.0:
         raise ValueError("b must be nonnegative")
-    v = _fn_values(P.space, V, "V", low=0.0)
-    mask_C = _set_mask(P.space, C)
+    v = state_values(P.space, V, "V", low=0.0)
+    mask_C = state_mask(P.space, C)
 
-    masks = [_set_mask(P.space, A, "tail set") for A in tail_sets]
+    masks = [state_mask(P.space, A, "tail set") for A in tail_sets]
     for prev, nxt in zip(masks, masks[1:]):
         if (nxt & ~prev).any():
             raise ValueError("tail sets must be decreasing")
@@ -365,7 +326,7 @@ def power_row_gap(P: Kernel, x, y, n: int, m_: int) -> float:
     """
     if n < 1 or m_ < 1:
         raise ValueError("powers start at 1")
-    ix, iy = _state_index(P.space, x), _state_index(P.space, y)
+    ix, iy = state_index(P.space, x), state_index(P.space, y)
     row_x = _advance_row(P, ix, n, mean=False)
     row_y = _advance_row(P, iy, m_, mean=False)
     return float(np.clip(row_y - row_x, 0.0, None).sum())
@@ -375,7 +336,7 @@ def mean_row_gap(P: Kernel, x, y, n: int, m_: int) -> float:
     """power_row_gap with running averages S_n in place of powers."""
     if n < 1 or m_ < 1:
         raise ValueError("averages start at 1")
-    ix, iy = _state_index(P.space, x), _state_index(P.space, y)
+    ix, iy = state_index(P.space, x), state_index(P.space, y)
     row_x = _advance_row(P, ix, n, mean=True)
     row_y = _advance_row(P, iy, m_, mean=True)
     return float(np.clip(row_y - row_x, 0.0, None).sum())
@@ -409,8 +370,8 @@ def check_dominated_rows(P: Kernel, m: Measure, L: float, gamma_fn, C,
         raise ValueError("L must be nonnegative")
     if n0 < 1 or N < n0:
         raise ValueError("need 1 <= n0 <= N")
-    g_vals = _fn_values(P.space, gamma_fn, "gamma_fn", low=0.0, finite=True)
-    mask_C = _set_mask(P.space, C)
+    g_vals = state_values(P.space, gamma_fn, "gamma_fn", low=0.0, finite=True)
+    mask_C = state_mask(P.space, C)
     if m.mass <= 0.0:
         raise ValueError("reference measure must have positive mass")
 
@@ -504,7 +465,7 @@ def check_concentration(P: Kernel, m: Measure,
         raise ValueError("delta must lie in [0, 1)")
     if m.mass <= 0.0:
         raise ValueError("reference measure must have positive mass")
-    mask_C = _set_mask(P.space, C)
+    mask_C = state_mask(P.space, C)
     N, n0 = params.horizon, params.n0
 
     i_ok, worst, witness = _rows_within(P, m, params.phi, params.delta,
@@ -556,9 +517,9 @@ def check_concentration(P: Kernel, m: Measure,
 
 def check_generalized_drift(P: Kernel, V, b_fn, C) -> Certificate:
     """Unit decrease of V with a state-dependent budget on C."""
-    v = _fn_values(P.space, V, "V", low=0.0)
-    b_vals = _fn_values(P.space, b_fn, "b_fn", low=0.0, finite=True)
-    mask_C = _set_mask(P.space, C)
+    v = state_values(P.space, V, "V", low=0.0)
+    b_vals = state_values(P.space, b_fn, "b_fn", low=0.0, finite=True)
+    mask_C = state_mask(P.space, C)
 
     tol = _ptol(v[np.isfinite(v)], b_vals)
     worst, worst_idx, _ = _pointwise_drift(P, v, v - 1.0 + b_vals * mask_C)
@@ -589,8 +550,8 @@ def check_drift_cost_moment(P: Kernel, m: Measure, V, b_fn, r: float,
         raise ValueError("empty range")
     if N0 < 1:
         raise ValueError("N0 must be at least 1")
-    v = _fn_values(P.space, V, "V", low=0.0)
-    b_vals = _fn_values(P.space, b_fn, "b_fn", low=0.0, finite=True)
+    v = state_values(P.space, V, "V", low=0.0)
+    b_vals = state_values(P.space, b_fn, "b_fn", low=0.0, finite=True)
 
     wr = m.weights * (np.isfinite(v) & (v <= r))
     g = b_vals ** 2
@@ -619,7 +580,7 @@ def check_drift_concentration(P: Kernel, m: Measure, V, b_fn, C,
     the derivation's constants when the horizon supports it, and a plain
     almost-invariance one at the optimal linear constants.
     """
-    v = _fn_values(P.space, V, "V", low=0.0)
+    v = state_values(P.space, V, "V", low=0.0)
     if r is None:
         fin = v[np.isfinite(v)]
         r = float(fin.max()) if fin.size else 0.0
@@ -638,7 +599,7 @@ def check_drift_concentration(P: Kernel, m: Measure, V, b_fn, C,
 
     moment = check_drift_cost_moment(P, m, V, b_fn, r, N0=n0, N=N)
 
-    mask_C = _set_mask(P.space, C)
+    mask_C = state_mask(P.space, C)
     i_ok, worst, witness = _rows_within(P, m, cprime_params.phi,
                                         cprime_params.delta, mask_C)
     if not i_ok:
@@ -658,6 +619,7 @@ def check_drift_concentration(P: Kernel, m: Measure, V, b_fn, C,
     notes = ""
 
     mR = push(m, discrete_resolvent(P))
+    ev = Evidence(P, mR, N)
     means = _running_means(P, mask_C.astype(float), N)
     on = means @ m.weights
     lo = max(n0, 2)
@@ -673,7 +635,7 @@ def check_drift_concentration(P: Kernel, m: Measure, V, b_fn, C,
         conclusion = AlmostInvarianceParams(
             cprime_params.phi.scale(m.mass), delta_star + 1e-9,
             horizon=N, n0=n0_star)
-        mean_cert = check_mean_almost_invariant(P, mR, conclusion)
+        mean_cert = check_mean_almost_invariant(ev, mR, conclusion)
         if not mean_cert.holds:
             raise ArithmeticError(
                 "derived mean certificate failed at the proof constants")
@@ -682,9 +644,9 @@ def check_drift_concentration(P: Kernel, m: Measure, V, b_fn, C,
         notes = ("occupation too thin within the horizon; mean conclusion "
                  "not attached")
 
-    opt = optimal_linear_params(P, mR, horizon=N)
+    opt = optimal_linear_params(ev, mR, horizon=N)
     plain = check_almost_invariant(
-        P, mR, AlmostInvarianceParams(PhiLinear(opt["c"]), opt["delta"],
+        ev, mR, AlmostInvarianceParams(PhiLinear(opt["c"]), opt["delta"],
                                       horizon=N))
     attached.append(plain)
     constants["plain_c"] = opt["c"]
@@ -732,8 +694,8 @@ def additive_drift_occupation_bound(P: Kernel, V, b: float, C, m: Measure,
     """
     if b <= 0.0:
         raise ValueError("b must be positive")
-    v = _fn_values(P.space, V, "V", low=0.0)
-    mask_C = _set_mask(P.space, C)
+    v = state_values(P.space, V, "V", low=0.0)
+    mask_C = state_mask(P.space, C)
     n0 = _first_sublevel(m, v)
     eps = float(m.weights[np.isfinite(v) & (v <= n0)].sum())
     bound = eps / (2.0 * b)
@@ -756,9 +718,9 @@ def generalized_drift_occupation_bound(P: Kernel, V, b_fn, C, m: Measure,
     stated_bounds divide further by (sup b)^2, matching the weaker form
     some derivations carry. ok refers to the clean bound.
     """
-    v = _fn_values(P.space, V, "V", low=0.0)
-    b_vals = _fn_values(P.space, b_fn, "b_fn", low=0.0, finite=True)
-    mask_C = _set_mask(P.space, C)
+    v = state_values(P.space, V, "V", low=0.0)
+    b_vals = state_values(P.space, b_fn, "b_fn", low=0.0, finite=True)
+    mask_C = state_mask(P.space, C)
     n0 = _first_sublevel(m, v)
     eps = float(m.weights[np.isfinite(v) & (v <= n0)].sum())
 

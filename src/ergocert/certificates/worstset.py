@@ -154,23 +154,54 @@ class KnapsackResult:
     exact: bool
 
 
-def fractional_knapsack(values, weights, capacity: float) -> float:
-    """Greedy relaxation: items divisible, always an upper bound."""
-    v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    total = float(v[(v > 0) & (w <= 0)].sum())
-    cand = np.flatnonzero((v > 0) & (w > 0))
-    if cand.size == 0:
-        return total
+def _fill(v: np.ndarray, w: np.ndarray, capacity: float):
+    """Items that can fit, in decreasing value/weight order, and their bound.
+
+    Returns (free, base_value, order, vs, ws, bound): the positive items
+    of weight zero and their value, which every set takes; the indices
+    of the positive items that fit the capacity alone, sorted by ratio,
+    with their values and weights; and bound(i, room), the greedy
+    fractional fill of room by items i.. of that order, O(log n) from
+    prefix sums and one bisection. Items heavier than the capacity
+    never enter, so they loosen no bound.
+    """
+    slack = 1e-12 * max(1.0, capacity)
+    idx = np.arange(len(v))
+    free = idx[(v > 0) & (w <= 0)]
+    base_value = float(v[free].sum())
+    cand = idx[(v > 0) & (w > 0) & (w <= capacity + slack)]
     order = cand[np.argsort(-(v[cand] / w[cand]), kind="stable")]
-    room = float(capacity)
-    for i in order:
-        if room <= 0:
-            break
-        take = min(1.0, room / w[i])
-        total += take * v[i]
-        room -= take * w[i]
-    return total
+    vs = v[order].tolist()
+    ws = w[order].tolist()
+    n = len(vs)
+    pv = [0.0, *accumulate(vs)]
+    pw = [0.0, *accumulate(ws)]
+
+    def bound(i: int, room: float) -> float:
+        # items i..j-1 fit whole, item j fills the rest fractionally
+        if room <= 0.0:
+            return 0.0
+        j = bisect_right(pw, pw[i] + room, i) - 1
+        total = pv[j] - pv[i]
+        if j < n:
+            total += vs[j] * (room - (pw[j] - pw[i])) / ws[j]
+        return total
+
+    return free, base_value, order, vs, ws, bound
+
+
+def fractional_knapsack(values, weights, capacity: float) -> float:
+    """Greedy relaxation over the items that fit: always an upper bound.
+
+    Items are divisible, and items heavier than the capacity are left
+    out, since no feasible set holds them. This is the bound at the root
+    of knapsack_best's search.
+    """
+    capacity = float(capacity)
+    _, base_value, _, _, _, bound = _fill(
+        np.asarray(values, dtype=float), np.asarray(weights, dtype=float),
+        capacity)
+    return base_value + bound(0, capacity)
 
 
 def knapsack_best(values, weights, capacity: float,
@@ -199,30 +230,10 @@ def knapsack_best(values, weights, capacity: float,
     if capacity < 0:
         raise ValueError("capacity must be nonnegative")
     slack = 1e-12 * max(1.0, capacity)
-
-    idx = np.arange(len(v))
-    free = idx[(v > 0) & (w <= 0)]
-    base_value = float(v[free].sum())
-    cand = idx[(v > 0) & (w > 0) & (w <= capacity + slack)]
-    if cand.size == 0:
-        return KnapsackResult(base_value, tuple(int(i) for i in free), True)
-
-    order = cand[np.argsort(-(v[cand] / w[cand]), kind="stable")]
-    vs = v[order].tolist()
-    ws = w[order].tolist()
+    free, base_value, order, vs, ws, bound = _fill(v, w, capacity)
     n = len(vs)
-    pv = [0.0, *accumulate(vs)]
-    pw = [0.0, *accumulate(ws)]
-
-    def bound(i: int, room: float) -> float:
-        # items i..j-1 fit whole, item j fills the rest fractionally
-        if room <= 0.0:
-            return 0.0
-        j = bisect_right(pw, pw[i] + room, i) - 1
-        total = pv[j] - pv[i]
-        if j < n:
-            total += vs[j] * (room - (pw[j] - pw[i])) / ws[j]
-        return total
+    if n == 0:
+        return KnapsackResult(base_value, tuple(int(i) for i in free), True)
 
     best = base_value
     best_set: list = []

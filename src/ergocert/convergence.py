@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Kernel, Measure, StateFn, power, push
+from .core import Kernel, Measure, power, push, state_index, state_values
 from .solver import averaging_projector
 
 __all__ = [
@@ -32,17 +32,6 @@ __all__ = [
 DEFAULT_GRID = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 INVARIANCE_TOL = 1e-10
 R2_THRESHOLD = 0.95
-
-
-def _values(space, f, name):
-    if isinstance(f, StateFn):
-        if f.space != space:
-            raise ValueError(f"{name} lives on a different space")
-        return f.values
-    v = np.asarray(f, dtype=float).reshape(-1)
-    if v.shape != (space.size,):
-        raise ValueError(f"{name}: expected {space.size} values")
-    return v
 
 
 def _check_invariant(P: Kernel, m: Measure) -> np.ndarray:
@@ -62,9 +51,7 @@ def weighted_gap_norm(P: Kernel, m: Measure, V, n: int) -> float:
     Requires m invariant for P up to 1e-10 in l1.
     """
     w = _check_invariant(P, m)
-    v = _values(P.space, V, "V")
-    if (v < 0.0).any():
-        raise ValueError("V must be nonnegative")
+    v = state_values(P.space, V, "V", low=0.0)
     if n < 0:
         raise ValueError("n must be nonnegative")
     rows_n = power(P, n).rows
@@ -79,9 +66,7 @@ def weighted_step_norm(P: Kernel, V, n: int = 1) -> float:
     max_x (1+V(x))^{-1} sum_a P^n(x,a) (1+V(a)); submultiplicative
     companion to weighted_gap_norm.
     """
-    v = _values(P.space, V, "V")
-    if (v < 0.0).any():
-        raise ValueError("V must be nonnegative")
+    v = state_values(P.space, V, "V", low=0.0)
     weight = 1.0 + v
     return float(((power(P, n).rows @ weight) / weight).max())
 
@@ -169,10 +154,7 @@ def cesaro_limit_check(P: Kernel, x, N: int) -> tuple[Measure, float]:
         raise ValueError("N must be positive")
     if P.kind != "markovian":
         raise ValueError("running averages need a markovian kernel")
-    xi = x if isinstance(x, (int, np.integer)) else P.space.index(x)
-    xi = int(xi)
-    if not 0 <= xi < P.size:
-        raise ValueError(f"state index {xi} out of range")
+    xi = state_index(P.space, x)
 
     row = np.zeros(P.size)
     row[xi] = 1.0

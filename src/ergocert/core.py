@@ -7,8 +7,9 @@ step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+import sys
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -54,7 +55,9 @@ class StateSpace:
     labels: tuple[str, ...]
 
     def __init__(self, labels: Iterable):
-        object.__setattr__(self, "labels", tuple(str(x) for x in labels))
+        # interned, so spaces with the same labels share the strings
+        object.__setattr__(self, "labels",
+                           tuple(sys.intern(str(x)) for x in labels))
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("state labels must be distinct")
         if not self.labels:
@@ -118,10 +121,7 @@ class Measure:
         if isinstance(where, StateSet):
             _check_same_space(self, where)
             where = where.mask
-        where = np.asarray(where)
-        if where.dtype == bool:
-            return float(self.weights[where].sum())
-        return float(self.weights[where].sum())
+        return float(self.weights[np.asarray(where)].sum())
 
     def expect(self, f: "StateFn") -> float:
         """Integral of f against this measure; 0 * inf is treated as 0."""
@@ -232,6 +232,58 @@ class StateSet:
 
     def __repr__(self) -> str:
         return f"StateSet({self.size}/{self.space.size})"
+
+
+def state_index(space: StateSpace, s) -> int:
+    """Index of a state given by position or by label; bools are labels."""
+    if isinstance(s, (int, np.integer)) and not isinstance(s, bool):
+        i = int(s)
+        if not 0 <= i < space.size:
+            raise ValueError(f"state index {i} out of range")
+        return i
+    return space.index(s)
+
+
+def state_values(space: StateSpace, f, name: str, low=None,
+                 finite: bool = False) -> np.ndarray:
+    """Values of a StateFn or array-like on space, validated.
+
+    NaN is never accepted and +inf only where finite is False; low, when
+    given, bounds every value from below.
+    """
+    if isinstance(f, StateFn):
+        if f.space != space:
+            raise ValueError(f"{name} lives on a different state space")
+        v = f.values
+    else:
+        v = np.asarray(f, dtype=float).reshape(-1)
+        if v.shape != (space.size,):
+            raise ValueError(f"{name} needs {space.size} values, got {v.shape}")
+        if np.isnan(v).any():
+            raise ValueError(f"{name} must not contain NaN")
+    if finite and np.isinf(v).any():
+        raise ValueError(f"{name} must be finite")
+    if low is not None and (v < low).any():
+        raise ValueError(f"{name} must be >= {low}")
+    return v
+
+
+def state_mask(space: StateSpace, C, name: str = "set") -> np.ndarray:
+    """Boolean mask of a StateSet, a boolean mask or member indices.
+
+    Indices go through StateSet, so a negative or too large one raises
+    instead of wrapping around.
+    """
+    if isinstance(C, StateSet):
+        if C.space != space:
+            raise ValueError(f"{name} lives on a different state space")
+        return C.mask
+    arr = np.asarray(C)
+    if arr.dtype == bool:
+        if arr.shape != (space.size,):
+            raise ValueError(f"{name} mask has wrong length")
+        return arr.copy()
+    return StateSet(space, arr.tolist()).mask
 
 
 _KINDS = ("markovian", "sub-markovian", "general")

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Kernel, Measure, StateFn, StateSet, identity, push
+from .core import (Kernel, Measure, StateFn, StateSet, identity, push,
+                   state_index, state_mask, state_values)
 from .semigroup import discrete_resolvent
 from .solver import solve_cesaro_adjoint
 from .certificates.drift import check_concentration, fit_drift_constants
@@ -37,41 +38,6 @@ __all__ = [
     "certify_perturbation",
     "diagnose_lazy_atoms",
 ]
-
-
-def _state_index(space, s) -> int:
-    if isinstance(s, (int, np.integer)) and not isinstance(s, bool):
-        i = int(s)
-        if not 0 <= i < space.size:
-            raise ValueError(f"state index {i} out of range")
-        return i
-    return space.index(s)
-
-
-def _fn_values(space, f, name: str) -> np.ndarray:
-    if isinstance(f, StateFn):
-        if f.space is not space and f.space != space:
-            raise ValueError(f"{name} lives on a different space")
-        return f.values
-    v = np.asarray(f, dtype=float).reshape(-1)
-    if v.shape != (space.size,):
-        raise ValueError(f"{name}: expected {space.size} values")
-    return v
-
-
-def _set_mask(space, C) -> np.ndarray:
-    if isinstance(C, StateSet):
-        if C.space != space:
-            raise ValueError("set lives on a different space")
-        return C.mask
-    arr = np.asarray(C)
-    if arr.dtype == bool:
-        if arr.shape != (space.size,):
-            raise ValueError("mask length mismatch")
-        return arr
-    mask = np.zeros(space.size, dtype=bool)
-    mask[arr.astype(int)] = True
-    return mask
 
 
 def _dirac(space, i: int) -> Measure:
@@ -112,8 +78,8 @@ def harnack_constant(P: Kernel, x, y, p: float) -> HarnackConstant:
     """
     if p <= 1.0:
         raise ValueError("p must exceed 1")
-    xi = _state_index(P.space, x)
-    yi = _state_index(P.space, y)
+    xi = state_index(P.space, x)
+    yi = state_index(P.space, y)
     rx = P.rows[xi]
     ry = P.rows[yi]
     act = ry > 0.0
@@ -133,8 +99,8 @@ def harnack_maximizer(P: Kernel, x, y, p: float) -> StateFn:
     """
     if p <= 1.0:
         raise ValueError("p must exceed 1")
-    xi = _state_index(P.space, x)
-    yi = _state_index(P.space, y)
+    xi = state_index(P.space, x)
+    yi = state_index(P.space, y)
     rx = P.rows[xi]
     ry = P.rows[yi]
     f = np.zeros(P.size)
@@ -159,11 +125,9 @@ def check_harnack_drift(P: Kernel, V, gamma: float, c: float, C,
         raise ValueError("c must be nonnegative")
     if p <= 1.0:
         raise ValueError("p must exceed 1")
-    v = _fn_values(P.space, V, "V")
-    if (v < 0.0).any():
-        raise ValueError("V must be nonnegative")
-    z = _state_index(P.space, z0)
-    mask = _set_mask(P.space, C)
+    v = state_values(P.space, V, "V", low=0.0)
+    z = state_index(P.space, z0)
+    mask = state_mask(P.space, C)
 
     pv = P.rows @ v
     rhs = gamma * v + c
@@ -219,12 +183,10 @@ def certify_harnack_pipeline(P: Kernel, V, C, z0=None, p: float = 2.0,
 
     z0 defaults to the minimizer of V; the choice is recorded.
     """
-    v = _fn_values(P.space, V, "V")
-    if (v < 0.0).any():
-        raise ValueError("V must be nonnegative")
+    v = state_values(P.space, V, "V", low=0.0)
     if z0 is None:
         z0 = int(np.argmin(v))
-    z = _state_index(P.space, z0)
+    z = state_index(P.space, z0)
 
     try:
         gamma, c = fit_drift_constants(P, V)
@@ -332,7 +294,7 @@ class PerturbationSpec:
 
 def perturb(P: Kernel, spec: PerturbationSpec) -> Kernel:
     """Mixture kernel with row x equal to rho(x)*P-row + (1-rho(x))*Q-row."""
-    r = _fn_values(P.space, spec.rho, "rho")
+    r = state_values(P.space, spec.rho, "rho")
     Q = spec.Q if spec.Q is not None else identity(P.space)
     if Q.space != P.space:
         raise ValueError("Q lives on a different space")
@@ -372,10 +334,8 @@ def certify_perturbation(P: Kernel, V, gamma: float, c: float,
     a, b = spec.a, spec.b
     if b >= 1.0:
         raise ValueError("mixing upper bound must stay strictly below one")
-    v = _fn_values(P.space, V, "V")
-    if (v < 0.0).any():
-        raise ValueError("V must be nonnegative")
-    z = _state_index(P.space, z0)
+    v = state_values(P.space, V, "V", low=0.0)
+    z = state_index(P.space, z0)
 
     threshold = (1.0 - b * gamma) / (1.0 - a)
     constants = {"a": a, "b": b, "gamma": float(gamma), "c": float(c),
@@ -507,11 +467,11 @@ def diagnose_lazy_atoms(P: Kernel, spec: PerturbationSpec, C=None,
     if C is None:
         if V is None or r is None:
             raise ValueError("supply C or both V and r")
-        C = StateSet.from_mask(P.space, _fn_values(P.space, V, "V") <= r)
-    mask = _set_mask(P.space, C)
+        C = StateSet.from_mask(P.space, state_values(P.space, V, "V") <= r)
+    mask = state_mask(P.space, C)
     members = np.flatnonzero(mask)
 
-    rho = _fn_values(P.space, spec.rho, "rho")
+    rho = state_values(P.space, spec.rho, "rho")
     mixed = perturb(P, spec)
     lazy = 1.0 - rho
 

@@ -187,12 +187,6 @@ def jsonable(value):
     return value
 
 
-def _revive_number(x):
-    if isinstance(x, str):
-        return float(x)
-    return float(x)
-
-
 def validate_document(doc: dict) -> str:
     """Check a document against its schema; returns the type tag."""
     if not isinstance(doc, dict) or "type" not in doc:
@@ -273,7 +267,7 @@ def statefn_to_doc(f: StateFn) -> dict:
 def statefn_from_doc(doc: dict, space: StateSpace | None = None) -> StateFn:
     validate_document(doc)
     sp = _check_labels(doc, space, "statefn")
-    values = np.array([_revive_number(v) for v in doc["values"]])
+    values = np.array([float(v) for v in doc["values"]])
     return StateFn(sp, values, extended=doc.get("extended", False))
 
 

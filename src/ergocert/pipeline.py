@@ -4,16 +4,21 @@ The driving idea is two-step: first build a reference measure the
 dynamics respect (a start distribution smoothed through the resolvent),
 then ask quantitative questions against that reference — absolute
 continuity, almost invariance at the cheapest constants, the small-set
-occupation index, and finally the constructive solver. Each stage is
-independent where possible; failures are collected, not fatal.
+occupation index, and finally the constructive solver. The stages share
+what they compute: one run computes each family of evidence rows of
+(system, reference, horizon), the index profile, the Cesaro-adjoint
+solve and the eigen solve at most once, on first use by any stage.
+Failures are collected, not fatal.
 
 four_way_verdicts packages the equivalence at the heart of the package:
 on a finite model, almost invariance with leakage below one, its mean
 variant, the index staying under the total mass, and the solver finding
 a nonzero invariant measure are four views of the same fact and must
-agree.
+agree. A pipeline run scores its four-way block by the same path, from
+the evidence and results its stages share.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +31,7 @@ from .solver import solve_cesaro_adjoint, solve_continuous, solve_eigen
 from .convergence import decay_report
 from .scenarios import Scenario, generate
 from .harnack import certify_harnack_pipeline
-from .certificates.almost import (check_absolute_continuity,
+from .certificates.almost import (Evidence, check_absolute_continuity,
                                   check_almost_invariant,
                                   check_mean_almost_invariant,
                                   index_profile, optimal_linear_params,
@@ -81,37 +86,44 @@ def four_way_verdicts(P: Kernel, m: Measure, horizon: int = 96) -> dict:
     model these must agree; the dict carries the booleans, the numbers
     behind them, and the agreement flag. A passing leakage whose
     certificate then fails to verify indicates an internal bug and
-    raises.
+    raises. Each evidence row is computed once and read by every test.
     """
+    ev = Evidence(P, m, horizon)
+    return _four_way(ev, index_profile(ev, m, horizon=horizon),
+                     solve_cesaro_adjoint(P, m))
+
+
+def _four_way(ev: Evidence, prof, res) -> dict:
+    """four_way_verdicts from the evidence, the index profile of the same
+    (system, reference, horizon) and its Cesaro-adjoint solve."""
+    m, horizon = ev.m, ev.horizon
     out = {}
-    opt = optimal_linear_params(P, m, horizon=horizon)
+    opt = optimal_linear_params(ev, m, horizon=horizon)
     out["delta"] = opt["delta"]
     out["almost"] = bool(opt["delta"] < 1.0 - 1e-9)
     if out["almost"]:
         params = AlmostInvarianceParams(PhiLinear(opt["c"]),
                                         opt["delta"] + 1e-12,
                                         horizon=horizon)
-        cert = check_almost_invariant(P, m, params)
+        cert = check_almost_invariant(ev, m, params)
         if not cert.holds:
             raise ArithmeticError("optimal constants failed verification")
 
-    mopt = optimal_linear_params(P, m, horizon=horizon, mode="mean")
+    mopt = optimal_linear_params(ev, m, horizon=horizon, mode="mean")
     out["mean_delta"] = mopt["delta"]
     out["mean"] = bool(mopt["delta"] < 1.0 - 1e-9)
     if out["mean"]:
         params = AlmostInvarianceParams(PhiLinear(mopt["c"]),
                                         mopt["delta"] + 1e-12,
                                         horizon=horizon)
-        cert = check_mean_almost_invariant(P, m, params)
+        cert = check_mean_almost_invariant(ev, m, params)
         if not cert.holds:
             raise ArithmeticError("optimal mean constants failed verification")
 
-    prof = index_profile(P, m, horizon=horizon)
     out["index_estimate"] = prof.index_estimate
     out["threshold"] = prof.threshold
     out["index"] = bool(prof.verdict == "holds")
 
-    res = solve_cesaro_adjoint(P, m)
     out["invariant_mass"] = res.nu.mass
     out["solver"] = bool(res.nu.mass > 1e-8 * m.mass)
 
@@ -229,6 +241,21 @@ def run_pipeline(config, base_dir=None) -> Report:
     if m_ref is None:
         return _emit(report, config, base_dir)
 
+    # shared by the stages, each computed on first use and at most once
+    ev = Evidence(system, m_ref, horizon)
+
+    @functools.cache
+    def profile():
+        return index_profile(ev, m_ref, horizon=horizon)
+
+    @functools.cache
+    def cesaro():
+        return solve_cesaro_adjoint(system, m_ref)
+
+    @functools.cache
+    def eigen():
+        return solve_eigen(system)
+
     for name, opts in steps:
         if name == "auxiliary-measure":
             continue
@@ -240,8 +267,7 @@ def run_pipeline(config, base_dir=None) -> Report:
                 report.certificates.append(cert)
 
         elif name == "index-profile":
-            prof = timed(name, lambda: index_profile(system, m_ref,
-                                                     horizon=horizon))
+            prof = timed(name, profile)
             if prof is not None:
                 report.certificates.append(profile_certificate(prof))
                 report.profiles["index"] = {
@@ -257,14 +283,14 @@ def run_pipeline(config, base_dir=None) -> Report:
 
         elif name == "almost-invariance":
             def _almost():
-                opt = optimal_linear_params(system, m_ref, horizon=horizon)
+                opt = optimal_linear_params(ev, m_ref, horizon=horizon)
                 params = AlmostInvarianceParams(
                     PhiLinear(opt["c"]), min(opt["delta"] + 1e-12, 1.0),
                     horizon=horizon)
-                certs = [check_almost_invariant(system, m_ref, params),
-                         check_mean_almost_invariant(system, m_ref, params)]
-                four = (four_way_verdicts(system, m_ref, horizon=horizon)
-                        if discrete else None)
+                certs = [check_almost_invariant(ev, m_ref, params),
+                         check_mean_almost_invariant(ev, m_ref, params)]
+                four = (_four_way(ev, profile(), cesaro()) if discrete
+                        else None)
                 return opt, certs, four
             got = timed(name, _almost)
             if got is not None:
@@ -277,15 +303,9 @@ def run_pipeline(config, base_dir=None) -> Report:
 
         elif name == "invariant":
             def _invariant():
-                found = []
                 if discrete:
-                    res = solve_cesaro_adjoint(system, m_ref)
-                    found.append(res)
-                    for other in solve_eigen(system):
-                        found.append(other)
-                else:
-                    found.extend(solve_continuous(system))
-                return found
+                    return [cesaro(), *eigen()]
+                return list(solve_continuous(system))
             found = timed(name, _invariant)
             if found is not None:
                 for res in found:
@@ -307,7 +327,7 @@ def run_pipeline(config, base_dir=None) -> Report:
             def _convergence():
                 if not discrete:
                     raise ValueError("convergence stage needs a kernel")
-                candidates = [r for r in solve_eigen(system)]
+                candidates = eigen()
                 if len(candidates) != 1:
                     raise ValueError("needs a unique invariant probability")
                 m_inv = candidates[0].nu.normalized()

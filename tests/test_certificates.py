@@ -176,6 +176,49 @@ class TestIndexProfile:
         assert prof.index_estimate == 0.0
         assert prof.holds
 
+    def test_fractional_ignores_atoms_heavier_than_the_cap(self):
+        # both atoms weigh 0.5, more than every cap of the default grid
+        prof = index_profile(ABSORBING_PAIR, M_UNIFORM)
+        assert prof.fractional == (0.0, 0.0, 0.0, 0.0)
+        assert prof.crisp == (0.0, 0.0, 0.0, 0.0)
+
+    def test_evidence_computes_what_is_read_once(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(almost, name)
+
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+            return call
+
+        for name in ("power_rows", "mean_rows", "limit_row"):
+            monkeypatch.setattr(almost, name, counted(name))
+        ev = almost.Evidence(TWO_STATE, M_UNIFORM, 32)
+        params = AlmostInvarianceParams(PhiLinear(2.0), 0.0, horizon=32)
+        check_mean_almost_invariant(ev, M_UNIFORM, params)
+        index_profile(ev, M_UNIFORM, horizon=32)
+        assert sorted(calls) == ["limit_row", "mean_rows"]
+        check_almost_invariant(ev, M_UNIFORM, params)
+        assert sorted(calls) == ["limit_row", "mean_rows", "power_rows"]
+
+    def test_evidence_shared_by_the_checks(self):
+        ev = almost.Evidence(TWO_STATE, M_UNIFORM, 32)
+        params = AlmostInvarianceParams(PhiLinear(2.0), 0.0, horizon=32)
+        for check in (check_almost_invariant, check_mean_almost_invariant):
+            assert (check(ev, M_UNIFORM, params).constants
+                    == check(TWO_STATE, M_UNIFORM, params).constants)
+        assert (optimal_linear_params(ev, M_UNIFORM, horizon=32, mode="mean")
+                == optimal_linear_params(TWO_STATE, M_UNIFORM, horizon=32,
+                                         mode="mean"))
+        assert (index_profile(ev, M_UNIFORM, horizon=32)
+                == index_profile(TWO_STATE, M_UNIFORM, horizon=32))
+        with pytest.raises(ValueError, match="another reference"):
+            index_profile(ev, M_UNIFORM, horizon=64)
+        with pytest.raises(ValueError, match="another reference"):
+            optimal_linear_params(ev, M_INV, horizon=32)
+
     def test_certificate_wrapper(self):
         cert = profile_certificate(index_profile(ABSORBING_PAIR, DELTA0))
         assert not cert.holds

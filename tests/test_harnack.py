@@ -108,6 +108,17 @@ class TestHarnackDrift:
         assert np.isinf(cert.constants["M_star"])
 
 
+    def test_negative_window_member_rejected(self):
+        # -1 is not read as the last state
+        with pytest.raises(ValueError, match="out of range"):
+            check_harnack_drift(TWO_STATE, V01, 0.9, 5.0, [-1], 0, 2.0)
+
+    def test_nan_lyapunov_values_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            check_harnack_drift(TWO_STATE, [0.0, np.nan], 0.9, 5.0, [0], 0,
+                                2.0)
+
+
 class TestHarnackPipeline:
     def test_two_state_certifies(self):
         cert = certify_harnack_pipeline(TWO_STATE, V01, [0, 1])

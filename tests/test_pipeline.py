@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ergocert import pipeline, solver
+from ergocert.certificates import almost, averages
 from ergocert.core import Kernel, Measure, StateSpace
 from ergocert.pipeline import (
     DEFAULT_STEPS,
@@ -14,6 +16,7 @@ from ergocert.pipeline import (
     run_pipeline,
 )
 from ergocert import io
+from ergocert.scenarios import generate
 
 S2 = StateSpace.range(2)
 ABSORBING_PAIR = Kernel(S2, [[0.0, 1.0], [0.0, 1.0]])
@@ -218,6 +221,51 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="scenario or inputs"):
             run_pipeline({"type": "pipeline-config"})
         assert rep.errors == []
+
+
+def _count_calls(monkeypatch, calls, module, name):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+class TestSharedEvidence:
+    def test_four_way_computes_the_projector_once(self, monkeypatch):
+        calls = {}
+        for module in (averages, almost, solver):
+            _count_calls(monkeypatch, calls, module, "averaging_projector")
+        K, m = equivalence_pair(np.random.default_rng(3), 0)
+        out = four_way_verdicts(K, m, horizon=64)
+        assert out["agree"]
+        assert calls == {"averaging_projector": 1}
+
+    def test_pipeline_profiles_and_solves_once(self, monkeypatch):
+        calls = {}
+        for name in ("index_profile", "solve_cesaro_adjoint", "solve_eigen"):
+            _count_calls(monkeypatch, calls, pipeline, name)
+        config = {"type": "pipeline-config",
+                  "scenario": {"id": "birth_death", "params": {"n": 12}},
+                  "steps": list(DEFAULT_STEPS) + ["convergence"]}
+        rep = run_pipeline(config)
+        assert rep.errors == []
+        assert calls == {"index_profile": 1, "solve_cesaro_adjoint": 1,
+                         "solve_eigen": 1}
+
+    def test_pipeline_four_way_equals_the_standalone_call(self):
+        m = [0.2, 0.3, 0.5, 0.0]
+        config = {"type": "pipeline-config",
+                  "scenario": {"id": "block_chain",
+                               "params": {"k": 2, "block_size": 2}},
+                  "m": m, "horizon": 64}
+        rep = run_pipeline(config)
+        assert rep.errors == []
+        K = generate(rep.scenario).kernel
+        alone = four_way_verdicts(K, Measure(K.space, m), horizon=64)
+        assert rep.profiles["four_way"] == alone
 
 
 class TestEmission:

@@ -8,6 +8,7 @@ from ergocert.core import Kernel, Measure, StateSpace, push
 from ergocert.semigroup import Generator
 from ergocert.certificates.phi import PhiLinear
 from ergocert.solver import (
+    ErgodicDecomposition,
     _strong_components,
     averaging_projector,
     decompose,
@@ -60,6 +61,25 @@ class TestDecompose:
         assert_allclose(pi @ P, pi, atol=1e-12)
         assert_allclose(P @ pi, pi, atol=1e-12)
         assert_allclose(pi @ pi, pi, atol=1e-12)
+
+    def test_slow_mixing_chain_verifies(self):
+        # two uniform 2-state blocks coupled at 1e-6: irreducible and
+        # doubly stochastic, but no run of a few thousand steps settles
+        eps = 1e-6
+        half = np.full((2, 2), 0.5)
+        P = Kernel(StateSpace.range(4),
+                   np.block([[(1 - eps) * half, eps * half],
+                             [eps * half, (1 - eps) * half]]))
+        d = decompose(P)
+        assert d.n_classes == 1
+        assert_allclose(d.projector(), np.full((4, 4), 0.25), atol=1e-10)
+
+    def test_zero_projector_rejected(self, monkeypatch):
+        # the zero matrix satisfies all three projector identities
+        monkeypatch.setattr(ErgodicDecomposition, "projector",
+                            lambda self: np.zeros((2, 2)))
+        with pytest.raises(ArithmeticError, match="mass one"):
+            decompose(TWO_STATE)
 
     def test_averaging_projector_two_state(self):
         pi = averaging_projector(TWO_STATE)

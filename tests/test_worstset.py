@@ -168,6 +168,11 @@ class TestKnapsack:
         out = fractional_knapsack([6.0, 10.0, 12.0], [1.0, 2.0, 3.0], 5.0)
         assert_allclose(out, 24.0)
 
+    def test_fractional_skips_items_heavier_than_the_cap(self):
+        # the heavy item fits in no set, so it adds nothing to the bound
+        assert_allclose(fractional_knapsack([5.0, 1.0], [2.0, 0.5], 1.0), 1.0)
+        assert fractional_knapsack([5.0], [2.0], 1.0) == 0.0
+
     def test_zero_weight_items_always_taken(self):
         res = knapsack_best([1.0, 2.0], [0.0, 5.0], 1.0)
         assert_allclose(res.value, 1.0)
