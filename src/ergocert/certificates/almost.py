@@ -561,9 +561,7 @@ def check_partial_subinvariance(K: Kernel, m: Measure,
 
     def deep_violation(mask):
         """First (step, atom) where the restricted flow exceeds m."""
-        v = (w * mask).astype(float)
-        for step in range(1, int(horizon) + 1):
-            v = v @ rows
+        for step, v in power_rows(K, Measure(K.space, w * mask), horizon):
             bad = v - w
             j = int(np.argmax(bad))
             if bad[j] > tol:
@@ -660,8 +658,10 @@ def check_occupation_half(S, nu: Measure, target: StateSet, t_grid=None,
     if t_grid is None:
         t_grid = geometric_horizons(64)
     if discrete:
-        pairs = [(n, v) for n, v in mean_rows(S, nu, max(t_grid))
-                 if n in set(int(t) for t in t_grid)]
+        if any(t != int(t) or t < 1 for t in t_grid):
+            raise ValueError("discrete averages need integer t >= 1")
+        grid = {int(t) for t in t_grid}
+        pairs = [(n, v) for n, v in mean_rows(S, nu, max(grid)) if n in grid]
     else:
         pairs = continuous_mean_rows(S, nu, [float(t) for t in t_grid])
     lim = np.clip(limit_row(S, nu), 0.0, None)

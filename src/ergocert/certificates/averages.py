@@ -4,6 +4,9 @@ Each helper pushes a fixed start measure through the dynamics and hands
 back (horizon, weight-vector) pairs. Limits come from the class
 decomposition, never from long runs; the limiting horizon is tagged with
 the string "limit" so reports can tell it apart from finite evidence.
+The discrete chains power_rows and mean_rows live in ergocert.semigroup,
+next to kb_measure, and are re-exported here: every pushed row m K^n or
+m S_n in the package is read off that one copy.
 The leakage, invariance and index checks read these rows through the
 Evidence object of certificates.almost, which calls each helper at most
 once per (system, reference, horizon) and shares the rows among them.
@@ -14,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import Kernel, Measure
-from ..semigroup import Generator, kb_measure, transition_at, uniformized
+from ..semigroup import (Generator, kb_measure, mean_rows, power_rows,
+                         transition_at, uniformized)
 from ..solver import averaging_projector
 
 __all__ = [
@@ -41,29 +45,6 @@ def geometric_horizons(cap: int) -> list[int]:
     if out[-1] != cap:
         out.append(cap)
     return out
-
-
-def power_rows(K: Kernel, m: Measure, horizon: int):
-    """Yield (n, m composed with K^n) for n = 1..horizon."""
-    v = m.weights.astype(float)
-    for n in range(1, int(horizon) + 1):
-        v = v @ K.rows
-        yield n, v
-
-
-def mean_rows(K: Kernel, m: Measure, horizon: int, n0: int = 1):
-    """Yield (n, m composed with S_n) for n0 <= n <= horizon.
-
-    S_n averages the first n powers starting at the identity, matching
-    the discrete branch of kb_measure.
-    """
-    v = m.weights.astype(float)
-    acc = np.zeros_like(v)
-    for n in range(1, int(horizon) + 1):
-        acc += v
-        if n >= n0:
-            yield n, acc / n
-        v = v @ K.rows
 
 
 def _is_double(t: float, prev: float) -> bool:

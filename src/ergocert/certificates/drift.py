@@ -19,9 +19,9 @@ import math
 
 import numpy as np
 
-from ..core import (Kernel, Measure, StateFn, apply, push, state_index,
-                    state_mask, state_values)
-from ..semigroup import discrete_resolvent
+from ..core import (Kernel, Measure, StateFn, apply, dirac, push, state_mask,
+                    state_values)
+from ..semigroup import discrete_resolvent, last_row, mean_rows, power_rows
 from ..solver import averaging_projector
 from .almost import (Evidence, check_absolute_continuity,
                      check_almost_invariant, check_mean_almost_invariant,
@@ -64,17 +64,10 @@ def _kernel_image(P: Kernel, v: np.ndarray) -> np.ndarray:
     return apply(P, StateFn(P.space, v, extended=bool(np.isinf(v).any()))).values
 
 
-def _running_means(P: Kernel, g: np.ndarray, N: int) -> np.ndarray:
-    """Stack of S_n g for n = 1..N, shape (N, size)."""
-    u = np.array(g, dtype=float)
-    acc = np.zeros_like(u)
-    out = np.empty((N, u.size))
-    for n in range(1, N + 1):
-        acc += u
-        out[n - 1] = acc / n
-        if n < N:
-            u = P.rows @ u
-    return out
+def _mean_account(P: Kernel, w: np.ndarray, g: np.ndarray,
+                  N: int) -> np.ndarray:
+    """(w S_n) g for n = 1..N, one scalar per step of the running means."""
+    return np.array([v @ g for _, v in mean_rows(P, Measure(P.space, w), N)])
 
 
 def _limit_mean(P: Kernel, g: np.ndarray) -> np.ndarray:
@@ -304,20 +297,6 @@ def check_additive_drift(P: Kernel, V, b: float, C,
     )
 
 
-def _advance_row(P: Kernel, i: int, n: int, mean: bool) -> np.ndarray:
-    row = np.zeros(P.space.size)
-    row[i] = 1.0
-    if not mean:
-        for _ in range(n):
-            row = row @ P.rows
-        return row
-    acc = np.zeros_like(row)
-    for _ in range(n):
-        acc += row
-        row = row @ P.rows
-    return acc / n
-
-
 def power_row_gap(P: Kernel, x, y, n: int, m_: int) -> float:
     """Largest one-function gap between two iterated rows.
 
@@ -326,9 +305,8 @@ def power_row_gap(P: Kernel, x, y, n: int, m_: int) -> float:
     """
     if n < 1 or m_ < 1:
         raise ValueError("powers start at 1")
-    ix, iy = state_index(P.space, x), state_index(P.space, y)
-    row_x = _advance_row(P, ix, n, mean=False)
-    row_y = _advance_row(P, iy, m_, mean=False)
+    row_x = last_row(power_rows(P, dirac(P.space, x), n))
+    row_y = last_row(power_rows(P, dirac(P.space, y), m_))
     return float(np.clip(row_y - row_x, 0.0, None).sum())
 
 
@@ -336,9 +314,8 @@ def mean_row_gap(P: Kernel, x, y, n: int, m_: int) -> float:
     """power_row_gap with running averages S_n in place of powers."""
     if n < 1 or m_ < 1:
         raise ValueError("averages start at 1")
-    ix, iy = state_index(P.space, x), state_index(P.space, y)
-    row_x = _advance_row(P, ix, n, mean=True)
-    row_y = _advance_row(P, iy, m_, mean=True)
+    row_x = last_row(mean_rows(P, dirac(P.space, x), n, n0=n))
+    row_y = last_row(mean_rows(P, dirac(P.space, y), m_, n0=m_))
     return float(np.clip(row_y - row_x, 0.0, None).sum())
 
 
@@ -351,6 +328,35 @@ def _suffix_optimal(deltas: np.ndarray, n_start: int):
     suffix = np.maximum.accumulate(deltas[::-1])[::-1]
     k = int(np.argmin(suffix))
     return int(n_start + k), float(suffix[k])
+
+
+def _mean_conclusion(conclusion_on, phi, leakage, N: int, n0: int,
+                     constants: dict, key: str):
+    """Mean almost-invariance certificate at the suffix-optimized leakage.
+
+    leakage(ns) gives the derivation's constant at each n >= max(n0, 2);
+    the best suffix value goes into constants[key], its start into
+    "n0_star". None when no n is left or the padded value is not below
+    one; conclusion_on() gives the system (or its evidence) and m o R.
+    """
+    lo = max(n0, 2)
+    ns = np.arange(lo, N + 1)
+    if not ns.size:
+        return None
+    n0_star, delta_star = _suffix_optimal(leakage(ns), lo)
+    constants[key] = delta_star
+    constants["n0_star"] = n0_star
+    # small pad guards rounding in the long matmul chains
+    delta_use = delta_star + 1e-9
+    if delta_use >= 1.0:
+        return None
+    S, mR = conclusion_on()
+    mean_cert = check_mean_almost_invariant(
+        S, mR, AlmostInvarianceParams(phi, delta_use, horizon=N, n0=n0_star))
+    if not mean_cert.holds:
+        raise ArithmeticError(
+            "derived mean certificate failed at the proof constants")
+    return mean_cert
 
 
 def check_dominated_rows(P: Kernel, m: Measure, L: float, gamma_fn, C,
@@ -390,8 +396,7 @@ def check_dominated_rows(P: Kernel, m: Measure, L: float, gamma_fn, C,
     a2 = check_absolute_continuity(P, mR)
 
     g = mask_C * (g_vals - 1.0)
-    means = _running_means(P, g, N)
-    vn = means @ m.weights
+    vn = _mean_account(P, m.weights, g, N)
     v_lim = float(m.weights @ _limit_mean(P, g))
     window_max = float(max(vn[n0 - 1:].max(), v_lim))
     ii2_ok = window_max < 0.0
@@ -404,21 +409,11 @@ def check_dominated_rows(P: Kernel, m: Measure, L: float, gamma_fn, C,
                  "conclusion_coef": float(L * m.mass)}
     notes = ""
     if ok and N >= 2:
-        lo = max(n0, 2)
-        ns = np.arange(lo, N + 1)
-        deltas = 1.0 + 1.0 / ns + vn[ns - 2] / m.mass
-        n0_star, delta_star = _suffix_optimal(deltas, lo)
-        constants["delta"] = delta_star
-        constants["n0_star"] = n0_star
-        # small pad guards rounding in the long matmul chains
-        delta_use = delta_star + 1e-9
-        if delta_use < 1.0:
-            params = AlmostInvarianceParams(PhiLinear(L * m.mass), delta_use,
-                                            horizon=N, n0=n0_star)
-            mean_cert = check_mean_almost_invariant(P, mR, params)
-            if not mean_cert.holds:
-                raise ArithmeticError(
-                    "derived mean certificate failed at the proof constants")
+        mean_cert = _mean_conclusion(
+            lambda: (P, mR), PhiLinear(L * m.mass),
+            lambda ns: 1.0 + 1.0 / ns + vn[ns - 2] / m.mass,
+            N, n0, constants, "delta")
+        if mean_cert is not None:
             attached.append(mean_cert)
         else:
             notes = ("account decays too slowly within the horizon for a "
@@ -471,8 +466,7 @@ def check_concentration(P: Kernel, m: Measure,
     i_ok, worst, witness = _rows_within(P, m, params.phi, params.delta,
                                         mask_C)
 
-    means = _running_means(P, mask_C.astype(float), N)
-    on = means @ m.weights
+    on = _mean_account(P, m.weights, mask_C.astype(float), N)
     o_lim = float(m.weights @ _limit_mean(P, mask_C.astype(float)))
     occ_inf = float(min(on[n0 - 1:].min(), o_lim))
     ii_ok = occ_inf > 0.0
@@ -484,22 +478,13 @@ def check_concentration(P: Kernel, m: Measure,
     attached = []
     notes = ""
     if ok and N >= 2:
-        lo = max(n0, 2)
-        ns = np.arange(lo, N + 1)
-        deltas = 1.0 + 1.0 / ns - (1.0 - params.delta) * on[ns - 2] / m.mass
-        n0_star, delta_star = _suffix_optimal(deltas, lo)
-        constants["delta_tilde"] = delta_star
-        constants["n0_star"] = n0_star
-        delta_use = delta_star + 1e-9
-        if delta_use < 1.0:
-            mR = push(m, discrete_resolvent(P))
-            conclusion = AlmostInvarianceParams(params.phi.scale(m.mass),
-                                                delta_use, horizon=N,
-                                                n0=n0_star)
-            mean_cert = check_mean_almost_invariant(P, mR, conclusion)
-            if not mean_cert.holds:
-                raise ArithmeticError(
-                    "derived mean certificate failed at the proof constants")
+        mean_cert = _mean_conclusion(
+            lambda: (P, push(m, discrete_resolvent(P))),
+            params.phi.scale(m.mass),
+            lambda ns: (1.0 + 1.0 / ns
+                        - (1.0 - params.delta) * on[ns - 2] / m.mass),
+            N, n0, constants, "delta_tilde")
+        if mean_cert is not None:
             attached.append(mean_cert)
         else:
             notes = ("occupation too thin within the horizon for a leakage "
@@ -555,8 +540,7 @@ def check_drift_cost_moment(P: Kernel, m: Measure, V, b_fn, r: float,
 
     wr = m.weights * (np.isfinite(v) & (v <= r))
     g = b_vals ** 2
-    means = _running_means(P, g, N)
-    profile = (means @ wr)[N0 - 1:]
+    profile = _mean_account(P, wr, g, N)[N0 - 1:]
     limit = float(wr @ _limit_mean(P, g))
     sup = float(max(profile.max(), limit))
     return Certificate(
@@ -620,25 +604,13 @@ def check_drift_concentration(P: Kernel, m: Measure, V, b_fn, C,
 
     mR = push(m, discrete_resolvent(P))
     ev = Evidence(P, mR, N)
-    means = _running_means(P, mask_C.astype(float), N)
-    on = means @ m.weights
-    lo = max(n0, 2)
-    ns = np.arange(lo, N + 1)
-    delta_star = np.inf
-    if ns.size:
-        deltas = (1.0 + 1.0 / ns
-                  - (1.0 - cprime_params.delta) * on[ns - 2] / m.mass)
-        n0_star, delta_star = _suffix_optimal(deltas, lo)
-        constants["delta_tilde"] = delta_star
-        constants["n0_star"] = n0_star
-    if delta_star + 1e-9 < 1.0:
-        conclusion = AlmostInvarianceParams(
-            cprime_params.phi.scale(m.mass), delta_star + 1e-9,
-            horizon=N, n0=n0_star)
-        mean_cert = check_mean_almost_invariant(ev, mR, conclusion)
-        if not mean_cert.holds:
-            raise ArithmeticError(
-                "derived mean certificate failed at the proof constants")
+    on = _mean_account(P, m.weights, mask_C.astype(float), N)
+    mean_cert = _mean_conclusion(
+        lambda: (ev, mR), cprime_params.phi.scale(m.mass),
+        lambda ns: (1.0 + 1.0 / ns
+                    - (1.0 - cprime_params.delta) * on[ns - 2] / m.mass),
+        N, n0, constants, "delta_tilde")
+    if mean_cert is not None:
         attached.append(mean_cert)
     else:
         notes = ("occupation too thin within the horizon; mean conclusion "
@@ -701,8 +673,7 @@ def additive_drift_occupation_bound(P: Kernel, V, b: float, C, m: Measure,
     bound = eps / (2.0 * b)
 
     N = max(2 * n0, horizon)
-    means = _running_means(P, mask_C.astype(float), N)
-    on = (means @ m.weights)[2 * n0 - 1:]
+    on = _mean_account(P, m.weights, mask_C.astype(float), N)[2 * n0 - 1:]
     o_lim = float(m.weights @ _limit_mean(P, mask_C.astype(float)))
     slack = 1e-12 * max(1.0, bound)
     ok = bool((on >= bound - slack).all() and o_lim >= bound - slack)
@@ -726,14 +697,12 @@ def generalized_drift_occupation_bound(P: Kernel, V, b_fn, C, m: Measure,
 
     N = max(2 * n0, horizon)
     wr = m.weights * (np.isfinite(v) & (v <= n0))
-    means_cost = _running_means(P, b_vals ** 2, N)
-    dn = (means_cost @ wr)[2 * n0 - 1:]
+    dn = _mean_account(P, wr, b_vals ** 2, N)[2 * n0 - 1:]
     if (dn <= 0.0).any():
         raise ValueError("cost function vanishes on the averaged window")
     bounds = eps ** 2 / (4.0 * dn)
 
-    means_occ = _running_means(P, mask_C.astype(float), N)
-    on = (means_occ @ m.weights)[2 * n0 - 1:]
+    on = _mean_account(P, m.weights, mask_C.astype(float), N)[2 * n0 - 1:]
     slack = 1e-12 * max(1.0, float(bounds.max()))
     ok = bool((on >= bounds - slack).all())
     b_sup = float(b_vals.max())

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Kernel, Measure, power, push, state_index, state_values
+from .semigroup import last_row, mean_rows
 from .solver import averaging_projector
 
 __all__ = [
@@ -43,6 +44,12 @@ def _check_invariant(P: Kernel, m: Measure) -> np.ndarray:
     return m.weights
 
 
+def _gap_norm(rows_n: np.ndarray, w: np.ndarray, weight: np.ndarray) -> float:
+    dev = rows_n - w[None, :]
+    np.abs(dev, out=dev)
+    return float(((dev @ weight) / weight).max())
+
+
 def weighted_gap_norm(P: Kernel, m: Measure, V, n: int) -> float:
     """Exact norm of f -> P^n f - m(f) on the (1+V)-weighted sup space.
 
@@ -54,10 +61,7 @@ def weighted_gap_norm(P: Kernel, m: Measure, V, n: int) -> float:
     v = state_values(P.space, V, "V", low=0.0)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rows_n = power(P, n).rows
-    weight = 1.0 + v
-    dev = np.abs(rows_n - w[None, :]) @ weight
-    return float((dev / weight).max())
+    return _gap_norm(power(P, n).rows, w, 1.0 + v)
 
 
 def weighted_step_norm(P: Kernel, V, n: int = 1) -> float:
@@ -100,11 +104,26 @@ def decay_report(P: Kernel, m: Measure, V, n_grid=DEFAULT_GRID,
     those horizons are truncated from the fit (they would otherwise
     flatten the slope) but kept in the report. envelope_ok states
     norms(n) <= C * gamma^n * (1 + slack) across the fitted range.
+
+    A horizon twice the preceding one, when that is a power of two, squares
+    its power, which is how power(P, n) builds it; any other calls power.
     """
     ns = tuple(int(n) for n in n_grid)
     if not ns or any(n < 1 for n in ns):
         raise ValueError("n_grid must hold positive horizons")
-    norms = tuple(weighted_gap_norm(P, m, V, n) for n in ns)
+    w = _check_invariant(P, m)
+    weight = 1.0 + state_values(P.space, V, "V", low=0.0)
+    norms = []
+    rows, at = None, 0
+    for n in ns:
+        if n == 2 * at and at & (at - 1) == 0:
+            rows = rows @ rows
+        elif n != at:
+            rows = None  # free the previous power before building this one
+            rows = power(P, n).rows
+        at = n
+        norms.append(_gap_norm(rows, w, weight))
+    norms = tuple(norms)
 
     floor = max(norms[0] * 1e-13, 1e-15)
     cut = len(norms)
@@ -155,14 +174,7 @@ def cesaro_limit_check(P: Kernel, x, N: int) -> tuple[Measure, float]:
     if P.kind != "markovian":
         raise ValueError("running averages need a markovian kernel")
     xi = state_index(P.space, x)
-
-    row = np.zeros(P.size)
-    row[xi] = 1.0
-    acc = np.zeros(P.size)
-    for _ in range(N):
-        row = row @ P.rows
-        acc += row
-    avg = acc / N
+    avg = last_row(mean_rows(P, P.row_measure(xi), N, n0=N))
     limit = averaging_projector(P)[xi]
     residual = 0.5 * float(np.abs(avg - limit).sum())
     return Measure(P.space, avg), residual

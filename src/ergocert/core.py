@@ -244,6 +244,13 @@ def state_index(space: StateSpace, s) -> int:
     return space.index(s)
 
 
+def dirac(space: StateSpace, s) -> Measure:
+    """Unit mass at one state, given by position or by label."""
+    w = np.zeros(space.size)
+    w[state_index(space, s)] = 1.0
+    return Measure(space, w)
+
+
 def state_values(space: StateSpace, f, name: str, low=None,
                  finite: bool = False) -> np.ndarray:
     """Values of a StateFn or array-like on space, validated.

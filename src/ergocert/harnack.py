@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Kernel, Measure, StateFn, StateSet, identity, push,
+from .core import (Kernel, StateFn, StateSet, dirac, identity, push,
                    state_index, state_mask, state_values)
 from .semigroup import discrete_resolvent
 from .solver import solve_cesaro_adjoint
@@ -38,12 +38,6 @@ __all__ = [
     "certify_perturbation",
     "diagnose_lazy_atoms",
 ]
-
-
-def _dirac(space, i: int) -> Measure:
-    w = np.zeros(space.size)
-    w[i] = 1.0
-    return Measure(space, w)
 
 
 @dataclass(frozen=True)
@@ -217,7 +211,7 @@ def certify_harnack_pipeline(P: Kernel, V, C, z0=None, p: float = 2.0,
             attached=(hl,),
         )
 
-    m = push(_dirac(P.space, z), P)
+    m = push(dirac(P.space, z), P)
     if m.mass <= 0.0:
         return Certificate(
             condition="harnack-pipeline",
@@ -407,7 +401,7 @@ def certify_perturbation(P: Kernel, V, gamma: float, c: float,
             f"composite drift violated by {comp_gap:.3e} despite the "
             "hypotheses; the mixing bounds are inconsistent")
 
-    m = push(_dirac(P.space, z), mixed)
+    m = push(dirac(P.space, z), mixed)
     phi = PhiPower(b, m_big / a, p)
     delta = 1.0 - a
     conc = check_concentration(mixed, m,

@@ -4,6 +4,11 @@ A semigroup is either a Kernel (unit-time step, powers give the rest) or
 a Generator (conservative rate matrix, transition matrices come from
 uniformization). Resolvents are computed by direct linear solves, time
 integrals by composite Simpson quadrature on an exact uniform grid.
+
+The one discrete chain lives here: power_rows yields m K^n and mean_rows
+m S_n, step by step. kb_measure, the almost-invariance evidence, the drift
+accounts, the row gaps and the Cesaro limit check all read them, and
+certificates.averages re-exports both.
 """
 
 from __future__ import annotations
@@ -93,6 +98,37 @@ class Generator:
 
 
 Semigroup = Union[Kernel, Generator]
+
+
+def power_rows(K: Kernel, m: Measure, horizon: int):
+    """Yield (n, m composed with K^n) for n = 1..horizon."""
+    v = m.weights.astype(float)
+    for n in range(1, int(horizon) + 1):
+        v = v @ K.rows
+        yield n, v
+
+
+def mean_rows(K: Kernel, m: Measure, horizon: int, n0: int = 1):
+    """Yield (n, m composed with S_n) for n0 <= n <= horizon.
+
+    S_n averages the first n powers starting at the identity.
+    """
+    v = m.weights.astype(float)
+    acc = np.zeros_like(v)
+    for n in range(1, int(horizon) + 1):
+        if n > 1:
+            v = v @ K.rows
+        acc += v
+        if n >= n0:
+            yield n, acc / n
+
+
+def last_row(rows) -> np.ndarray:
+    """The row of the last (n, row) pair of a power_rows or mean_rows walk."""
+    row = None
+    for _, row in rows:
+        pass
+    return row
 
 
 def _uniformized_step(G: Generator) -> np.ndarray:
@@ -281,12 +317,7 @@ def kb_measure(S: Semigroup, mu: Measure, t, quad_steps: int | None = None) -> M
         n = int(t)
         if n != t or n < 1:
             raise ValueError("discrete averages need integer t >= 1")
-        v = mu.weights.astype(float).copy()
-        acc = np.zeros_like(v)
-        for _ in range(n):
-            acc += v
-            v = v @ S.rows
-        return Measure(S.space, acc / n)
+        return Measure(S.space, last_row(mean_rows(S, mu, n, n0=n)))
     if t <= 0:
         raise ValueError("t must be positive")
     integ = _simpson_pushes(S, mu.weights, float(t), quad_steps)

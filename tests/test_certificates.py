@@ -376,6 +376,15 @@ class TestOccupationHalf:
             check_occupation_half(TWO_STATE, Measure(S2, [0.2, 0.2]),
                                   StateSet(S2, [0]))
 
+    def test_kernel_grid_needs_integer_steps(self):
+        for grid in ([1.5, 3], [0, 2], [2.7]):
+            with pytest.raises(ValueError, match="integer t >= 1"):
+                check_occupation_half(TWO_STATE, DELTA0, StateSet(S2, [1]),
+                                      t_grid=grid)
+        cert = check_occupation_half(TWO_STATE, DELTA0, StateSet(S2, [1]),
+                                     t_grid=[4.0, 2, 4])
+        assert list(cert.constants["grid"]) == ["2", "4", LIMIT]
+
 
 class TestOperatorNorms:
     def test_absorbing_pair_closed_forms(self):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ergocert import convergence
 from ergocert.core import Kernel, Measure, StateSpace
+from ergocert.semigroup import last_row, mean_rows
 from ergocert.convergence import (
     cesaro_limit_check,
     decay_report,
@@ -16,6 +18,15 @@ S2 = StateSpace.range(2)
 TWO_STATE = Kernel(S2, [[0.9, 0.1], [0.2, 0.8]])
 M_INV = Measure(S2, [2 / 3, 1 / 3])
 V0 = [0.0, 0.0]
+
+
+def random_ergodic(rng, n):
+    """Dense chain with its invariant probability, accurate to 1e-15."""
+    rows = rng.random((n, n)) + 0.05
+    rows /= rows.sum(axis=1, keepdims=True)
+    K = Kernel(StateSpace.range(n), rows)
+    w = np.ones(n) @ np.linalg.matrix_power(rows, 4096)
+    return K, Measure(K.space, w / w.sum())
 
 
 class TestWeightedGapNorm:
@@ -76,6 +87,31 @@ class TestDecayReport:
         assert rep.fit_points < len(rep.ns)
         assert len(rep.norms) == len(rep.ns)
 
+    def test_norms_equal_gap_norm_on_any_grid(self):
+        rng = np.random.default_rng(7)
+        K, m = random_ergodic(rng, 30)
+        V = 5.0 * rng.random(30)
+        for grid in ((3, 1, 6, 12, 12, 5),
+                     (1, 2, 4, 8, 16, 32, 64, 128, 256),
+                     (2, 4, 3, 6, 1, 1, 2, 8, 16, 5, 10)):
+            rep = decay_report(K, m, V, n_grid=grid)
+            assert rep.ns == grid
+            assert rep.norms == tuple(weighted_gap_norm(K, m, V, n)
+                                      for n in grid)
+
+    def test_default_grid_builds_one_power(self, monkeypatch):
+        calls = []
+        real = convergence.power
+
+        def counting(P, n):
+            calls.append(n)
+            return real(P, n)
+
+        monkeypatch.setattr(convergence, "power", counting)
+        K, m = random_ergodic(np.random.default_rng(8), 20)
+        decay_report(K, m, np.zeros(20))
+        assert len(calls) <= 1
+
     def test_grid_must_be_positive(self):
         with pytest.raises(ValueError):
             decay_report(TWO_STATE, M_INV, V0, n_grid=(0, 1))
@@ -84,11 +120,7 @@ class TestDecayReport:
         rng = np.random.default_rng(29)
         for _ in range(10):
             n = int(rng.integers(2, 25))
-            rows = rng.random((n, n)) + 0.05
-            rows /= rows.sum(axis=1, keepdims=True)
-            K = Kernel(StateSpace.range(n), rows)
-            w = np.ones(n) @ np.linalg.matrix_power(rows, 4096)
-            m = Measure(K.space, w / w.sum())
+            K, m = random_ergodic(rng, n)
             rep = decay_report(K, m, np.zeros(n))
             assert rep.geometric
             assert rep.fitted_gamma < 1.0
@@ -111,6 +143,22 @@ class TestCesaroLimitCheck:
         _, r50 = cesaro_limit_check(self.ABS3, 2, 50)
         _, r100 = cesaro_limit_check(self.ABS3, 2, 100)
         assert_allclose(r50 / r100, 2.0, rtol=1e-9)
+
+    def test_average_is_the_last_mean_row_after_one_step(self):
+        K, _ = random_ergodic(np.random.default_rng(9), 12)
+        for x, N in ((0, 1), (4, 7), (11, 60)):
+            nu, _ = cesaro_limit_check(K, x, N)
+            start = Measure(K.space, K.rows[x])
+            assert np.array_equal(nu.weights,
+                                  last_row(mean_rows(K, start, N)))
+            # the plain loop over P^1 .. P^N from the Dirac row
+            row = np.zeros(K.size)
+            row[x] = 1.0
+            acc = np.zeros(K.size)
+            for _ in range(N):
+                row = row @ K.rows
+                acc += row
+            assert np.array_equal(nu.weights, acc / N)
 
     def test_label_lookup(self):
         nu, _ = cesaro_limit_check(self.ABS3, "s0", 10)

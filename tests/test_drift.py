@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from ergocert.core import Kernel, Measure, StateSpace
 from ergocert.certificates.phi import AlmostInvarianceParams, PhiLinear
 from ergocert.certificates.drift import (
+    _suffix_optimal,
     additive_drift_occupation_bound,
     check_additive_drift,
     check_concentration,
@@ -30,6 +31,42 @@ TWO_STATE = Kernel(S2, [[0.9, 0.1], [0.2, 0.8]])
 DOEBLIN = Kernel(S2, [[0.5, 0.5], [0.25, 0.75]])
 M_INV = Measure(S2, [2 / 3, 1 / 3])
 V01 = [0.0, 1.0]
+
+# the accounts used to be summed as m . (S_n g) with S_n g built by the
+# right action; they now read (m S_n) . g off the shared chain, which
+# agrees to rounding
+ACCOUNT_RTOL = 1e-12
+
+
+def right_means(P, g, N):
+    """S_n g for n = 1..N by the right action, shape (N, size)."""
+    u = np.array(g, dtype=float)
+    acc = np.zeros_like(u)
+    out = np.empty((N, u.size))
+    for n in range(1, N + 1):
+        acc += u
+        out[n - 1] = acc / n
+        u = P.rows @ u
+    return out
+
+
+def suffix_leakage(account, sign, scale, n0, N):
+    """Suffix-optimized 1 + 1/n + sign * scale * account[n - 2]."""
+    lo = max(n0, 2)
+    ns = np.arange(lo, N + 1)
+    return _suffix_optimal(1.0 + 1.0 / ns + sign * scale * account[ns - 2],
+                           lo)
+
+
+def advance_row(P, i, n, mean):
+    """Row i of P^n, or of S_n, by the plain loop from the Dirac row."""
+    row = np.zeros(P.size)
+    row[i] = 1.0
+    acc = np.zeros_like(row)
+    for _ in range(n):
+        acc += row
+        row = row @ P.rows
+    return acc / n if mean else row
 
 
 class TestSmallness:
@@ -158,6 +195,15 @@ class TestRowGaps:
     def test_powers_start_at_one(self):
         with pytest.raises(ValueError):
             power_row_gap(DOEBLIN, 0, 1, 0, 1)
+
+    def test_gaps_equal_the_plain_loop(self):
+        bd = birth_death(15, 0.6)
+        for x, y, n, m_ in ((0, 14, 1, 1), (3, 9, 7, 4), (14, 2, 20, 31)):
+            for gap, mean in ((power_row_gap, False), (mean_row_gap, True)):
+                rx = advance_row(bd.kernel, x, n, mean)
+                ry = advance_row(bd.kernel, y, m_, mean)
+                assert gap(bd.kernel, x, y, n, m_) == float(
+                    np.clip(ry - rx, 0.0, None).sum())
 
 
 class TestDominatedRows:
@@ -314,3 +360,86 @@ class TestOccupationBounds:
         assert all(b > 0 for b in out["bounds"])
         assert all(v >= b - 1e-12 for v, b in zip(out["values"],
                                                   out["bounds"]))
+
+
+class TestAccountsAgainstRightAction:
+    """Each running-mean account within ACCOUNT_RTOL of the right action."""
+
+    def setup_method(self):
+        self.bd = birth_death(30, 0.6)
+        w = np.random.default_rng(17).random(30) + 0.1
+        self.m = Measure(self.bd.kernel.space, w / w.sum())
+        self.mask = self.bd.C.mask.astype(float)
+        self.b = np.zeros(30)
+        self.b[0] = self.bd.extras["drift_b"]
+
+    def test_dominated_rows(self):
+        P, m, N = self.bd.kernel, self.m, 200
+        gamma = np.full(30, 0.5)
+        cert = check_dominated_rows(P, m, 40.0, gamma, self.bd.C, n0=3, N=N)
+        assert cert.holds
+        vn = right_means(P, self.mask * (gamma - 1.0), N) @ m.weights
+        c = cert.constants
+        assert_allclose(c["account_max"],
+                        max(vn[2:].max(), c["account_limit"]),
+                        rtol=ACCOUNT_RTOL, atol=0.0)
+        n0_star, delta = suffix_leakage(vn, 1.0, 1.0 / m.mass, 3, N)
+        assert c["n0_star"] == n0_star
+        assert_allclose(c["delta"], delta, rtol=ACCOUNT_RTOL, atol=0.0)
+
+    def test_concentration(self):
+        P, m = self.bd.kernel, self.m
+        params = AlmostInvarianceParams(PhiLinear(40.0), 0.0, horizon=150,
+                                        n0=2)
+        cert = check_concentration(P, m, params, self.bd.C)
+        assert cert.holds
+        on = right_means(P, self.mask, 150) @ m.weights
+        c = cert.constants
+        assert_allclose(c["occupation_inf"],
+                        min(on[1:].min(), c["occupation_limit"]),
+                        rtol=ACCOUNT_RTOL, atol=0.0)
+        n0_star, delta = suffix_leakage(on, -1.0, 1.0 / m.mass, 2, 150)
+        assert c["n0_star"] == n0_star
+        assert_allclose(c["delta_tilde"], delta, rtol=ACCOUNT_RTOL,
+                        atol=0.0)
+
+    def test_drift_cost_moment(self):
+        P, m, V = self.bd.kernel, self.m, self.bd.V
+        cert = check_drift_cost_moment(P, m, V, self.b, 10.0, N0=5, N=120)
+        wr = m.weights * (V.values <= 10.0)
+        profile = (right_means(P, self.b ** 2, 120) @ wr)[4:]
+        assert_allclose(cert.constants["profile"], profile,
+                        rtol=ACCOUNT_RTOL, atol=0.0)
+
+    def test_drift_concentration(self):
+        P, m = self.bd.kernel, self.m
+        params = AlmostInvarianceParams(PhiLinear(40.0), 0.0, horizon=100)
+        cert = check_drift_concentration(P, m, self.bd.V, self.b, self.bd.C,
+                                         params)
+        assert cert.holds
+        on = right_means(P, self.mask, 100) @ m.weights
+        n0_star, delta = suffix_leakage(on, -1.0, 1.0 / m.mass, 1, 100)
+        assert cert.constants["n0_star"] == n0_star
+        assert_allclose(cert.constants["delta_tilde"], delta,
+                        rtol=ACCOUNT_RTOL, atol=0.0)
+
+    def test_additive_occupation_bound(self):
+        P, m = self.bd.kernel, self.m
+        out = additive_drift_occupation_bound(P, self.bd.V, self.b[0],
+                                              self.bd.C, m, horizon=90)
+        N = max(2 * out["n0"], 90)
+        on = (right_means(P, self.mask, N) @ m.weights)[2 * out["n0"] - 1:]
+        assert_allclose(out["values"], on, rtol=ACCOUNT_RTOL, atol=0.0)
+
+    def test_generalized_occupation_bound(self):
+        P, m, V = self.bd.kernel, self.m, self.bd.V
+        out = generalized_drift_occupation_bound(P, V, self.b, self.bd.C, m,
+                                                 horizon=90)
+        n0 = out["n0"]
+        N = max(2 * n0, 90)
+        wr = m.weights * (V.values <= n0)
+        dn = (right_means(P, self.b ** 2, N) @ wr)[2 * n0 - 1:]
+        assert_allclose(out["bounds"], out["eps"] ** 2 / (4.0 * dn),
+                        rtol=ACCOUNT_RTOL, atol=0.0)
+        on = (right_means(P, self.mask, N) @ m.weights)[2 * n0 - 1:]
+        assert_allclose(out["values"], on, rtol=ACCOUNT_RTOL, atol=0.0)

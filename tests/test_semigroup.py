@@ -10,7 +10,10 @@ from ergocert.semigroup import (
     auxiliary_measure,
     discrete_resolvent,
     kb_measure,
+    last_row,
+    mean_rows,
     occupation_density,
+    power_rows,
     resolvent,
     resolvent_raw,
     transition_at,
@@ -202,6 +205,44 @@ class TestAuxiliaryMeasure:
         P = Kernel(S2, [[0.5, 0.5], [0.5, 0.5]])
         m = auxiliary_measure(P, Measure(S2, [1.0, 0.0]))
         assert (m.weights > 0).all()
+
+
+class TestDiscreteChain:
+    """power_rows and mean_rows against the plain left-action loops."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(41)
+        self.K = random_kernel(rng, 9)
+        self.mu = Measure(self.K.space, rng.random(9))
+
+    def test_power_rows_match_loop(self):
+        v = self.mu.weights.copy()
+        for n, row in power_rows(self.K, self.mu, 30):
+            v = v @ self.K.rows
+            assert np.array_equal(row, v)
+        assert n == 30
+
+    def test_mean_rows_match_loop(self):
+        v = self.mu.weights.copy()
+        acc = np.zeros_like(v)
+        expected = []
+        for n in range(1, 31):
+            acc += v
+            expected.append((n, acc / n))
+            v = v @ self.K.rows
+        got = list(mean_rows(self.K, self.mu, 30, n0=4))
+        assert [n for n, _ in got] == list(range(4, 31))
+        for (n, row), (_, ref) in zip(got, expected[3:]):
+            assert np.array_equal(row, ref)
+
+    def test_kb_measure_is_the_last_mean_row(self):
+        for n in (1, 2, 7, 40):
+            rows = list(mean_rows(self.K, self.mu, n))
+            assert rows[-1][0] == n
+            assert np.array_equal(kb_measure(self.K, self.mu, n).weights,
+                                  rows[-1][1])
+            assert np.array_equal(last_row(mean_rows(self.K, self.mu, n)),
+                                  rows[-1][1])
 
 
 class TestAveragedMeasures:
