@@ -9,10 +9,15 @@ plus the exact limiting averages from the class decomposition, labelled
 Those rows are kept per (system, reference, horizon) in an Evidence
 object, which computes each family once. The leakage, invariance and
 index checks each read a selection of it: the powers, the means from
-step n0 on, or the means on the doubling grid, with or without the
-limit. Called with a system, a check makes its own evidence; a caller
-scoring several checks on the same triple makes one and passes it in
-place of the system.
+step n0 on, or the means on the doubling grid, always with the limit.
+Called with a system, a check makes its own evidence; a caller scoring
+several checks on the same triple makes one and passes it in place of
+the system.
+
+Each row is scored by its worst set. A linear modulus reads it off the
+signed excess; the other families go through the exact prefix scan of
+worst_set_search, which the test suite checks against a full subset
+enumeration.
 """
 
 from __future__ import annotations
@@ -30,8 +35,7 @@ from .averages import (LIMIT, continuous_mean_rows, continuous_power_rows,
                        geometric_horizons, limit_row, mean_rows, power_rows)
 from .phi import AlmostInvarianceParams, PhiLinear, PhiPower
 from .types import FAILS, HOLDS, INCONCLUSIVE, Certificate, IndexProfile
-from .worstset import (fractional_knapsack, knapsack_best, signed_excess,
-                       worst_set_search)
+from .worstset import fractional_knapsack, knapsack_best, worst_set_search
 
 __all__ = [
     "check_absolute_continuity",
@@ -48,8 +52,8 @@ __all__ = [
     "lp_operator_norm",
 ]
 
-# brute-force cross-check cutoff inside hot per-horizon sweeps
-_SWEEP_DP_LIMIT = 12
+# relative margin below the threshold that an index estimate must clear
+_INDEX_MARGIN = 1e-9
 
 _DEFAULT_ALPHAS = (2.0, 1.0, 0.5, 0.25, 0.125)
 
@@ -101,25 +105,22 @@ class Evidence:
     def _ts(self) -> list:
         return [float(t) for t in geometric_horizons(self.horizon)]
 
-    def rows(self, mode: str, include_limit: bool = True, n0: int = 1,
-             doubling: bool = False) -> list:
+    def rows(self, mode: str, n0: int = 1, doubling: bool = False) -> list:
         """(tag, row) pairs of the "power" or "mean" family, limit last.
 
-        For a kernel, n0 drops the means before step n0 and doubling
-        keeps only the steps 1, 2, 4, ... and the horizon; a generator's
-        rows lie on the doubling grid already.
+        n0 drops the means before step (or time) n0. For a kernel,
+        doubling keeps only the steps 1, 2, 4, ... and the horizon; a
+        generator's rows lie on the doubling grid already.
         """
         if mode not in ("power", "mean"):
             raise ValueError(f"unknown row mode {mode!r}")
         rows = list(self.powers if mode == "power" else self.means)
-        if isinstance(self.system, Kernel):
-            if mode == "mean":
-                rows = [(n, v) for n, v in rows if n >= n0]
-            if doubling:
-                keep = set(geometric_horizons(self.horizon))
-                rows = [(n, v) for n, v in rows if n in keep]
-        if include_limit:
-            rows.append((LIMIT, self.limit))
+        if mode == "mean":
+            rows = [(t, v) for t, v in rows if t >= n0]
+        if doubling and isinstance(self.system, Kernel):
+            keep = set(geometric_horizons(self.horizon))
+            rows = [(n, v) for n, v in rows if n in keep]
+        rows.append((LIMIT, self.limit))
         return rows
 
 
@@ -134,12 +135,17 @@ def _evidence(S, m: Measure, horizon: int) -> Evidence:
 
 
 def _excess_and_set(row: np.ndarray, m: Measure, phi):
-    """Worst-set value of row(A) - phi(m(A)) and the achieving atoms."""
+    """Worst-set value of row(A) - phi(m(A)) and the achieving atoms.
+
+    A linear modulus takes every atom where the row exceeds c * m; the
+    other families take the prefix scan of worst_set_search, which also
+    refuses a modulus outside the three families.
+    """
     if isinstance(phi, PhiLinear):
         diff = row - phi.coef * m.weights
         members = tuple(int(i) for i in np.flatnonzero(diff > 0.0))
         return float(diff[diff > 0.0].sum()), members
-    found = worst_set_search(row, m.weights, phi, dp_limit=_SWEEP_DP_LIMIT)
+    found = worst_set_search(row, m.weights, phi)
     return found.value, found.members
 
 
@@ -179,7 +185,6 @@ def check_absolute_continuity(S, m: Measure) -> Certificate:
 
 
 def optimal_linear_params(S, m: Measure, horizon: int = 256,
-                          include_limit: bool = True,
                           mode: str = "power") -> dict:
     """Cheapest linear modulus that works, and its exact leakage.
 
@@ -197,7 +202,7 @@ def optimal_linear_params(S, m: Measure, horizon: int = 256,
     null = w <= 0.0
     sup = 0.0
     arg = None
-    for tag, row in _evidence(S, m, horizon).rows(mode, include_limit):
+    for tag, row in _evidence(S, m, horizon).rows(mode):
         val = float(row[null].sum()) if null.any() else 0.0
         if val > sup or arg is None:
             sup, arg = val, tag
@@ -205,7 +210,7 @@ def optimal_linear_params(S, m: Measure, horizon: int = 256,
             "worst_horizon": arg}
 
 
-def _invariance_verdict(S, m, params, mode, include_limit, condition):
+def _invariance_verdict(S, m, params, mode, condition):
     _require_positive_mass(m)
     ev = _evidence(S, m, params.horizon)
     S = ev.system
@@ -213,7 +218,7 @@ def _invariance_verdict(S, m, params, mode, include_limit, condition):
     tag = None
     members = ()
     mass_floor = np.inf
-    for t, row in ev.rows(mode, include_limit, n0=params.n0):
+    for t, row in ev.rows(mode, n0=params.n0):
         mass_floor = min(mass_floor, float(row.sum()))
         val, found = _excess_and_set(row, m, params.phi)
         if val > worst:
@@ -230,7 +235,7 @@ def _invariance_verdict(S, m, params, mode, include_limit, condition):
         "worst_horizon": tag,
         "phi": params.phi.describe(),
         "support_stable": support.holds,
-        "limit_included": include_limit,
+        "limit_included": True,
     }
     if mode == "mean":
         constants["n0"] = params.n0
@@ -245,34 +250,33 @@ def _invariance_verdict(S, m, params, mode, include_limit, condition):
         verdict=HOLDS if ok else FAILS,
         constants=constants,
         witness=witness,
-        notes=f"bounded-horizon verdict over {grid}"
-              + (" plus the limiting averages" if include_limit else ""),
+        notes=f"bounded-horizon verdict over {grid} plus the limiting "
+              "averages",
     )
 
 
-def check_almost_invariant(S, m: Measure, params: AlmostInvarianceParams,
-                           include_limit: bool = True) -> Certificate:
+def check_almost_invariant(S, m: Measure,
+                           params: AlmostInvarianceParams) -> Certificate:
     """Every power of the flow stays below phi(set mass) + delta * m(E).
 
     Reports the minimal leakage fraction delta_min actually achieved at
     the given modulus; the verdict compares it against params.delta. S
     may be the Evidence of (m, params.horizon) in place of the system.
     """
-    return _invariance_verdict(S, m, params, "power", include_limit,
-                               "almost-invariance")
+    return _invariance_verdict(S, m, params, "power", "almost-invariance")
 
 
-def check_mean_almost_invariant(S, m: Measure, params: AlmostInvarianceParams,
-                                include_limit: bool = True) -> Certificate:
+def check_mean_almost_invariant(S, m: Measure,
+                                params: AlmostInvarianceParams) -> Certificate:
     """Running averages of the flow stay below phi(set mass) + delta * m(E).
 
     Same sweep as check_almost_invariant with S_n in place of P^n, for
-    n0 <= n <= horizon. For sub-markovian kernels the smallest averaged
-    total mass over the sweep is reported; it equals m(E) in the
-    markovian case. S may be the Evidence of (m, params.horizon).
+    n0 <= n <= horizon, or the grid times t >= n0 of a generator. For
+    sub-markovian kernels the smallest averaged total mass over the sweep
+    is reported; it equals m(E) in the markovian case. S may be the
+    Evidence of (m, params.horizon).
     """
-    return _invariance_verdict(S, m, params, "mean", include_limit,
-                               "mean-almost-invariance")
+    return _invariance_verdict(S, m, params, "mean", "mean-almost-invariance")
 
 
 def _default_eps_grid(m: Measure) -> list:
@@ -286,9 +290,8 @@ def _default_eps_grid(m: Measure) -> list:
     return grid
 
 
-def index_profile(S, m: Measure, eps_grid=None, horizon: int = 256,
-                  method: str = "both", include_limit: bool = True,
-                  margin: float = 1e-9) -> IndexProfile:
+def index_profile(S, m: Measure, eps_grid=None,
+                  horizon: int = 256) -> IndexProfile:
     """Worst averaged occupation of small sets, profiled over caps.
 
     Per cap eps: maximize (m S_n)(A) over sets with m(A) <= eps and over
@@ -302,13 +305,11 @@ def index_profile(S, m: Measure, eps_grid=None, horizon: int = 256,
 
     The verdict compares the value at the smallest cap against the total
     mass (markovian) or the smallest averaged mass (sub-markovian),
-    shrunk by the relative margin. When a truncated search leaves that
-    value bracketed between crisp and fractional and the bracket
-    straddles the threshold, the verdict is inconclusive. S may be the
-    Evidence of (m, horizon) in place of the system.
+    shrunk by the relative margin _INDEX_MARGIN. When a truncated search
+    leaves that value bracketed between crisp and fractional and the
+    bracket straddles the threshold, the verdict is inconclusive. S may
+    be the Evidence of (m, horizon) in place of the system.
     """
-    if method not in ("exact_dp", "fractional", "both"):
-        raise ValueError(f"unknown method {method!r}")
     _require_positive_mass(m)
     if eps_grid is None:
         eps_grid = _default_eps_grid(m)
@@ -318,24 +319,20 @@ def index_profile(S, m: Measure, eps_grid=None, horizon: int = 256,
 
     ev = _evidence(S, m, horizon)
     S = ev.system
-    rows = ev.rows("mean", include_limit, doubling=True)
+    rows = ev.rows("mean", doubling=True)
     tags = tuple(tag for tag, _ in rows)
     w = m.weights
     threshold = m.mass
     if isinstance(S, Kernel) and S.kind == "sub-markovian":
         threshold = min(float(row.sum()) for _, row in rows)
 
-    want_crisp = method in ("exact_dp", "both")
     crisp = []
     frac = []
-    exact = want_crisp
-    cap_exact = True
+    exact = True
     witness = None
     for e in eps:
         bounds = [fractional_knapsack(row, w, e) for _, row in rows]
         frac.append(max(bounds))
-        if not want_crisp:
-            continue
         best_c = 0.0
         best_at = None
         cap_exact = True
@@ -354,8 +351,8 @@ def index_profile(S, m: Measure, eps_grid=None, horizon: int = 256,
             witness = {"epsilon": e, "horizon": best_at[0],
                        "set": _labels(S.space, best_at[1]), "value": best_c}
 
-    estimate = crisp[-1] if want_crisp else frac[-1]
-    cut = threshold - margin * threshold
+    estimate = crisp[-1]
+    cut = threshold - _INDEX_MARGIN * threshold
     # cap_exact is left over from the smallest cap, the one the verdict reads
     if not cap_exact and estimate < cut <= frac[-1]:
         verdict = INCONCLUSIVE
@@ -363,14 +360,14 @@ def index_profile(S, m: Measure, eps_grid=None, horizon: int = 256,
         verdict = HOLDS if estimate < cut else FAILS
     return IndexProfile(
         epsilons=tuple(eps),
-        crisp=tuple(crisp) if want_crisp else None,
-        fractional=tuple(frac) if method != "exact_dp" else None,
+        crisp=tuple(crisp),
+        fractional=tuple(frac),
         horizons=tags,
         threshold=float(threshold),
         total_mass=m.mass,
         index_estimate=float(estimate),
         verdict=verdict,
-        margin=float(margin),
+        margin=_INDEX_MARGIN,
         exact=exact,
         witness=witness,
     )
@@ -381,9 +378,6 @@ def profile_certificate(profile: IndexProfile) -> Certificate:
     notes = "index estimated at the smallest cap over the horizon grid"
     if profile.exact:
         notes += "; every knapsack search finished, so the estimate is exact"
-    elif profile.crisp is None:
-        notes += ("; fractional relaxation only, so the estimate is an "
-                  "upper bound")
     else:
         notes += ("; a knapsack search ran out of nodes, so the estimate may "
                   "be a lower bound, with the fractional value above it")
@@ -404,8 +398,7 @@ def profile_certificate(profile: IndexProfile) -> Certificate:
 
 def check_resolvent_almost_invariant(S: Generator, m: Measure,
                                      params: AlmostInvarianceParams,
-                                     alphas=None,
-                                     include_limit: bool = True) -> Certificate:
+                                     alphas=None) -> Certificate:
     """Resolvent kernels of the flow stay below phi(set mass) + delta * m(E).
 
     Sweeps the markovian resolvent rows over a decreasing alpha grid; the
@@ -425,8 +418,7 @@ def check_resolvent_almost_invariant(S: Generator, m: Measure,
         raise ValueError("alphas must be positive and strictly decreasing")
 
     rows = [(a, m.weights @ resolvent(S, a).rows) for a in alphas]
-    if include_limit:
-        rows.append((LIMIT, np.clip(limit_row(S, m), 0.0, None)))
+    rows.append((LIMIT, np.clip(limit_row(S, m), 0.0, None)))
 
     null = m.weights <= 0.0
     worst = -np.inf

@@ -27,7 +27,7 @@ from .almost import (Evidence, check_absolute_continuity,
                      check_almost_invariant, check_mean_almost_invariant,
                      optimal_linear_params)
 from .phi import AlmostInvarianceParams, PhiLinear
-from .types import FAILS, HOLDS, INCONCLUSIVE, Certificate
+from .types import FAILS, HOLDS, Certificate
 from .worstset import signed_excess, worst_set_search
 
 __all__ = [

@@ -67,14 +67,15 @@ class IndexProfile:
     """Worst small-set averaged occupation, profiled over shrinking caps.
 
     crisp[i] is the best subset value at cap epsilons[i] maximized over
-    the horizon grid (and the limiting averages when included). It is
-    exact when exact is true; otherwise some knapsack search ran out of
-    nodes and crisp[i] is a feasible lower bound. fractional[i] is the
-    greedy relaxation, always at least the true optimum, so the two
-    bracket it. The index estimate is crisp at the smallest cap; the
-    verdict holds when it stays below the threshold by the stated
-    relative margin, and is inconclusive when a truncated search leaves
-    the bracket at the smallest cap straddling that mark.
+    the horizon grid and the limiting averages. It is exact when exact
+    is true; otherwise some knapsack search ran out of nodes and
+    crisp[i] is a feasible lower bound. fractional[i] is the greedy
+    relaxation, always at least the true optimum, so the two bracket it;
+    both are always computed. The index estimate is crisp at the
+    smallest cap; the verdict holds when it stays below the threshold by
+    the relative margin, a fixed 1e-9, and is inconclusive when a
+    truncated search leaves the bracket at the smallest cap straddling
+    that mark.
     """
 
     epsilons: tuple

@@ -11,8 +11,9 @@ Sketch: if A is optimal and a in A, b not in A, single-swap optimality
 plus decreasing slopes of phi force ratio(b) <= ratio(a); within a tie
 group the gain is convex in the included mass, so an endpoint (none or
 all of the group) does as well as any subset. Some prefix therefore
-attains the optimum. A brute-force subset scan cross-checks the claim
-on small supports.
+attains the optimum. The argument needs concavity, so the search
+accepts only the three modulus families, each checked concave when
+built; the test suite compares the scan against a subset enumeration.
 
 The capped problem is a 0/1 knapsack with real weights, solved by
 depth-first branch and bound over the items in decreasing value/weight
@@ -33,6 +34,7 @@ from itertools import accumulate
 import numpy as np
 
 from ..core import Measure
+from .phi import PhiLinear, PhiPower, PhiTable
 
 __all__ = [
     "signed_excess",
@@ -42,8 +44,6 @@ __all__ = [
     "knapsack_best",
     "fractional_knapsack",
 ]
-
-_REL_TOL = 1e-9
 
 
 def _as_weights(m, n=None):
@@ -73,36 +73,18 @@ class WorstSet:
 
     value: float
     members: tuple
-    prefix_value: float
-    dp_value: float | None  # None when the brute-force scan was skipped
-
-    @property
-    def cross_checked(self) -> bool:
-        return self.dp_value is not None
 
 
-def _brute_force_worst(r, b, phi, idx):
-    """Enumerate all subsets of idx; returns (value, member_tuple)."""
-    k = len(idx)
-    rsums = np.zeros(1)
-    bsums = np.zeros(1)
-    for i in idx:
-        rsums = np.concatenate([rsums, rsums + r[i]])
-        bsums = np.concatenate([bsums, bsums + b[i]])
-    vals = rsums - phi(bsums)
-    best = int(np.argmax(vals))
-    members = tuple(idx[j] for j in range(k) if best >> j & 1)
-    return float(vals[best]), members
-
-
-def worst_set_search(row, base, phi, dp_limit: int = 22) -> WorstSet:
+def worst_set_search(row, base, phi) -> WorstSet:
     """Maximize row(A) - phi(base(A)) over subsets A of the atoms.
 
-    phi must be one of the concave modulus families. The empty set scores
-    phi(0) = 0, so the value is never negative. When the number of atoms
-    with positive row mass is at most dp_limit, a full subset enumeration
-    runs as well and the two answers are required to agree.
+    phi must be a PhiLinear, PhiPower or PhiTable; any other modulus is
+    refused, since the prefix scan is exact only for concave ones. The
+    empty set scores phi(0) = 0, so the value is never negative.
     """
+    if not isinstance(phi, (PhiLinear, PhiPower, PhiTable)):
+        raise ValueError("worst-set search needs a PhiLinear, PhiPower or "
+                         f"PhiTable modulus, got {type(phi).__name__}")
     r = _as_weights(row)
     b = _as_weights(base)
     if r.shape != b.shape:
@@ -128,23 +110,7 @@ def worst_set_search(row, base, phi, dp_limit: int = 22) -> WorstSet:
             best_value = float(vals[k])
             best_members = tuple(sorted(int(i) for i in
                                         np.concatenate([free, order[:k + 1]])))
-    prefix_value = best_value
-
-    dp_value = None
-    if len(paid) <= dp_limit:
-        scale = max(1.0, abs(prefix_value))
-        dp_value, dp_members = _brute_force_worst(r, b, phi, list(paid))
-        dp_value += free_value
-        dp_members = tuple(sorted(set(dp_members) | {int(i) for i in free}))
-        if dp_value > prefix_value + _REL_TOL * scale:
-            raise AssertionError(
-                f"prefix search missed the optimum: prefix {prefix_value!r} "
-                f"vs enumeration {dp_value!r}; modulus not concave?")
-        if prefix_value > dp_value + _REL_TOL * scale:
-            raise AssertionError("prefix value exceeds exhaustive maximum")
-
-    return WorstSet(value=best_value, members=best_members,
-                    prefix_value=prefix_value, dp_value=dp_value)
+    return WorstSet(value=best_value, members=best_members)
 
 
 @dataclass(frozen=True)

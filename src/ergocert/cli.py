@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Kernel, Measure, StateFn, StateSet
+from .core import Kernel, StateFn
 from .semigroup import Generator, discrete_resolvent, resolvent
 from .solver import solve_cesaro_adjoint, solve_continuous, solve_eigen
 from .convergence import decay_report
@@ -33,7 +33,7 @@ from .scenarios import Scenario, generate, scenario_ids
 from .harnack import (PerturbationSpec, certify_harnack_pipeline,
                       certify_perturbation, check_harnack_drift,
                       harnack_constant, harnack_maximizer, perturb)
-from .pipeline import run_pipeline
+from .pipeline import _index_summary, _write_index_csv, run_pipeline
 from .certificates import almost, drift
 from .certificates.phi import (AlmostInvarianceParams, PhiLinear, PhiPower,
                                PhiTable)
@@ -290,22 +290,10 @@ def _cmd_index_profile(args):
     m = _load_measure(args, system.space)
     prof = almost.index_profile(system, m, horizon=args.horizon)
     cert = almost.profile_certificate(prof)
-    doc = {
-        "certificate": eio.certificate_to_doc(cert),
-        "epsilons": list(prof.epsilons),
-        "crisp": None if prof.crisp is None else list(prof.crisp),
-        "fractional": (None if prof.fractional is None
-                       else list(prof.fractional)),
-        "estimate": prof.index_estimate,
-        "threshold": prof.threshold,
-        "verdict": prof.verdict,
-    }
-    _emit(doc, args.out)
+    summary = _index_summary(prof)
+    _emit({"certificate": eio.certificate_to_doc(cert), **summary}, args.out)
     if args.csv:
-        crisp = doc["crisp"] or [None] * len(prof.epsilons)
-        frac = doc["fractional"] or [None] * len(prof.epsilons)
-        eio.write_series_csv(args.csv, ["epsilon", "crisp", "fractional"],
-                             list(zip(prof.epsilons, crisp, frac)))
+        _write_index_csv(args.csv, summary)
     return 0 if cert.holds else 2
 
 

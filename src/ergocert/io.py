@@ -1,7 +1,9 @@
 """JSON documents for kernels, measures, functions, scenarios, reports.
 
 Every document is a flat JSON object with a "type" discriminator and is
-validated against the shipped schema on both save and load. Measures
+validated against the shipped schema on both save and load; each
+schema is built into a validator, and checked itself, once on first
+use. Measures
 and functions carry the full label list so a file stands on its own;
 loaders accept an expected space and verify the labels against it.
 Floats that JSON cannot carry (inf, nan) are stored as strings and
@@ -9,6 +11,7 @@ revived on read.
 """
 
 import csv
+import functools
 import json
 import math
 from pathlib import Path
@@ -187,6 +190,22 @@ def jsonable(value):
     return value
 
 
+@functools.cache
+def _validator(tag: str):
+    """The validator of one document type, its schema checked once."""
+    schema = SCHEMAS[tag]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _check(doc: dict, tag: str) -> None:
+    """What jsonschema.validate does, without re-checking the schema."""
+    error = jsonschema.exceptions.best_match(_validator(tag).iter_errors(doc))
+    if error is not None:
+        raise error
+
+
 def validate_document(doc: dict) -> str:
     """Check a document against its schema; returns the type tag."""
     if not isinstance(doc, dict) or "type" not in doc:
@@ -195,7 +214,7 @@ def validate_document(doc: dict) -> str:
     if tag not in SCHEMAS:
         raise ValueError(f"unknown document type {tag!r}")
     try:
-        jsonschema.validate(doc, SCHEMAS[tag])
+        _check(doc, tag)
     except jsonschema.ValidationError as exc:
         raise ValueError(f"invalid {tag} document: {exc.message}") from exc
     return tag
@@ -299,7 +318,7 @@ def certificate_to_doc(cert) -> dict:
            "witness": jsonable(cert.witness),
            "notes": cert.notes,
            "attached": [certificate_to_doc(c) for c in cert.attached]}
-    jsonschema.validate(doc, SCHEMAS["certificate"])
+    _check(doc, "certificate")
     return doc
 
 

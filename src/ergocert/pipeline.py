@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Kernel, Measure, StateFn, StateSet
-from .semigroup import Generator, auxiliary_measure
+from .semigroup import auxiliary_measure
 from .solver import solve_cesaro_adjoint, solve_continuous, solve_eigen
 from .convergence import decay_report
 from .scenarios import Scenario, generate
@@ -43,6 +43,27 @@ __all__ = ["Report", "four_way_verdicts", "run_pipeline", "DEFAULT_STEPS"]
 
 DEFAULT_STEPS = ("auxiliary-measure", "absolute-continuity",
                  "index-profile", "almost-invariance", "invariant")
+
+_INDEX_COLUMNS = ("epsilon", "crisp", "fractional")
+
+
+def _index_summary(prof) -> dict:
+    """The index block of a report; ergocert index-profile prints it too."""
+    return {
+        "epsilons": list(prof.epsilons),
+        "crisp": list(prof.crisp),
+        "fractional": list(prof.fractional),
+        "estimate": prof.index_estimate,
+        "threshold": prof.threshold,
+        "verdict": prof.verdict,
+    }
+
+
+def _write_index_csv(path, summary: dict) -> None:
+    """One CSV row per cap: epsilon, crisp and fractional value."""
+    eio.write_series_csv(path, _INDEX_COLUMNS,
+                         list(zip(summary["epsilons"], summary["crisp"],
+                                  summary["fractional"])))
 
 
 @dataclass
@@ -270,16 +291,7 @@ def run_pipeline(config, base_dir=None) -> Report:
             prof = timed(name, profile)
             if prof is not None:
                 report.certificates.append(profile_certificate(prof))
-                report.profiles["index"] = {
-                    "epsilons": list(prof.epsilons),
-                    "crisp": (None if prof.crisp is None
-                              else list(prof.crisp)),
-                    "fractional": (None if prof.fractional is None
-                                   else list(prof.fractional)),
-                    "estimate": prof.index_estimate,
-                    "threshold": prof.threshold,
-                    "verdict": prof.verdict,
-                }
+                report.profiles["index"] = _index_summary(prof)
 
         elif name == "almost-invariance":
             def _almost():
@@ -381,12 +393,7 @@ def _emit(report: Report, config, base_dir) -> Report:
         csv_dir.mkdir(parents=True, exist_ok=True)
         idx = report.profiles.get("index")
         if idx is not None:
-            crisp = idx["crisp"] or [None] * len(idx["epsilons"])
-            frac = idx["fractional"] or [None] * len(idx["epsilons"])
-            eio.write_series_csv(
-                csv_dir / "index_profile.csv",
-                ["epsilon", "crisp", "fractional"],
-                list(zip(idx["epsilons"], crisp, frac)))
+            _write_index_csv(csv_dir / "index_profile.csv", idx)
         decay = report.profiles.get("decay")
         if decay is not None:
             eio.write_series_csv(

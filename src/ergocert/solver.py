@@ -256,10 +256,8 @@ def decompose(K: Kernel, verify: bool = True) -> ErgodicDecomposition:
     return decomp
 
 
-def cesaro_projector(K: Kernel, decomp: ErgodicDecomposition | None = None) -> np.ndarray:
-    if decomp is None:
-        decomp = decompose(K, verify=False)
-    return decomp.projector()
+def cesaro_projector(K: Kernel) -> np.ndarray:
+    return decompose(K, verify=False).projector()
 
 
 def averaging_projector(K: Kernel) -> np.ndarray:

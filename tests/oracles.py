@@ -1,0 +1,56 @@
+"""Slow reference answers the tests compare the library against.
+
+brute_force_worst enumerates every subset for the worst-set value that
+worst_set_search finds by its prefix scan; random_phi draws a modulus
+from one of the three concave families.
+"""
+
+import numpy as np
+
+from ergocert.certificates.phi import PhiLinear, PhiPower, PhiTable
+
+
+def brute_force_worst(row, base, phi):
+    """max of row(A) - phi(base(A)) over all subsets A, by enumeration.
+
+    For any nondecreasing phi an atom without row mass never helps and
+    an atom without base mass always does, so only the k atoms with both
+    are enumerated, 2^k subsets. Returns (value, sorted member tuple).
+    """
+    r = np.asarray(row, dtype=float)
+    b = np.asarray(base, dtype=float)
+    free = [i for i in range(len(r)) if r[i] > 0.0 and b[i] <= 0.0]
+    paid = [i for i in range(len(r)) if r[i] > 0.0 and b[i] > 0.0]
+    rsums = np.zeros(1)
+    bsums = np.zeros(1)
+    for i in paid:
+        rsums = np.concatenate([rsums, rsums + r[i]])
+        bsums = np.concatenate([bsums, bsums + b[i]])
+    vals = rsums - phi(bsums)
+    best = int(np.argmax(vals))
+    taken = [paid[j] for j in range(len(paid)) if best >> j & 1]
+    value = float(vals[best]) + float(r[free].sum())
+    return value, tuple(sorted(free + taken))
+
+
+def achieved(row, base, phi, members) -> float:
+    """row(A) - phi(base(A)) for the set A of the given atoms."""
+    picked = list(members)
+    return (float(np.asarray(row, dtype=float)[picked].sum())
+            - float(phi(np.asarray(base, dtype=float)[picked].sum())))
+
+
+def random_phi(rng):
+    """A linear, power or concave table modulus with random constants."""
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        return PhiLinear(float(rng.uniform(0.0, 3.0)))
+    if kind == 1:
+        return PhiPower(float(rng.uniform(0.2, 2.0)),
+                        float(rng.uniform(0.5, 4.0)),
+                        float(rng.choice([1.5, 2.0, 3.0])))
+    # concave table: positive decreasing slopes
+    slopes = np.sort(rng.uniform(0.1, 3.0, size=3))[::-1]
+    knots_t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, size=3))])
+    knots_y = np.concatenate([[0.0], np.cumsum(slopes * np.diff(knots_t))])
+    return PhiTable(knots_t, knots_y)

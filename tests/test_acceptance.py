@@ -36,12 +36,7 @@ from ergocert.certificates.drift import (
     check_smallness,
     power_row_gap,
 )
-from ergocert.certificates.phi import (
-    AlmostInvarianceParams,
-    PhiLinear,
-    PhiPower,
-    PhiTable,
-)
+from ergocert.certificates.phi import AlmostInvarianceParams, PhiLinear
 from ergocert.certificates.worstset import worst_set_search
 from ergocert.convergence import decay_report
 from ergocert.harnack import (
@@ -52,6 +47,7 @@ from ergocert.harnack import (
 )
 from ergocert.pipeline import four_way_verdicts
 from ergocert.scenarios import birth_death, ou_grid
+from oracles import achieved, brute_force_worst, random_phi
 
 S2 = StateSpace.range(2)
 COUNTEREXAMPLE = Kernel(S2, [[0.0, 1.0], [0.0, 1.0]])
@@ -400,21 +396,6 @@ def test_criterion_10_perturbation_pipeline_end_to_end():
               f"l above 3.0 flips the verdict")
 
 
-def _random_phi(rng):
-    kind = rng.integers(0, 3)
-    if kind == 0:
-        return PhiLinear(float(rng.uniform(0.0, 3.0)))
-    if kind == 1:
-        return PhiPower(float(rng.uniform(0.2, 2.0)),
-                        float(rng.uniform(0.5, 4.0)),
-                        float(rng.choice([1.5, 2.0, 3.0])))
-    slopes = np.sort(rng.uniform(0.1, 3.0, size=3))[::-1]
-    knots_t = np.concatenate([[0.0],
-                              np.cumsum(rng.uniform(0.2, 1.0, size=3))])
-    knots_y = np.concatenate([[0.0], np.cumsum(slopes * np.diff(knots_t))])
-    return PhiTable(knots_t, knots_y)
-
-
 def test_criterion_11_worst_set_oracle():
     rng = np.random.default_rng(111)
     sizes = [int(rng.integers(2, 15)) for _ in range(190)]
@@ -427,10 +408,13 @@ def test_criterion_11_worst_set_oracle():
         base = rng.random(n)
         base[rng.random(n) < 0.15] = 0.0
         row[rng.random(n) < 0.1] = 0.0
-        found = worst_set_search(row, base, _random_phi(rng), dp_limit=22)
-        assert found.cross_checked
-        scale = max(1.0, abs(found.prefix_value))
-        if abs(found.prefix_value - found.dp_value) > 1e-9 * scale:
+        phi = random_phi(rng)
+        found = worst_set_search(row, base, phi)
+        oracle, _ = brute_force_worst(row, base, phi)
+        scale = max(1.0, abs(found.value))
+        if (abs(found.value - oracle) > 1e-9 * scale
+                or abs(achieved(row, base, phi, found.members)
+                       - found.value) > 1e-9 * scale):
             mismatches += 1
     assert mismatches == 0
     _pass(11, f"{len(sizes)} trials, zero prefix/enumeration mismatches")

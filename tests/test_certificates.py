@@ -162,6 +162,27 @@ class TestAlmostInvariance:
                                             opt["delta"] + 1e-12, horizon=64)
             assert check_almost_invariant(K, m, params).holds
 
+    def test_generator_mean_rows_start_at_n0(self):
+        # mass passes s0 -> s1 -> s2 at rate one and stays in s2; the
+        # averaged occupation of the null atom s1 peaks at t = 2 and then
+        # decays, so with n0 = 8 the grid times 1, 2 and 4 must not count
+        G = Generator(StateSpace.range(3), [[-1.0, 1.0, 0.0],
+                                            [0.0, -1.0, 1.0],
+                                            [0.0, 0.0, 0.0]])
+        m = Measure(G.space, [0.5, 0.0, 0.5])
+        params = AlmostInvarianceParams(PhiLinear(2.0), 0.1, horizon=64, n0=8)
+        ev = almost.Evidence(G, m, 64)
+        rows = ev.rows("mean", n0=8)
+        assert [t for t, _ in rows] == [8.0, 16.0, 32.0, 64.0, LIMIT]
+        worst_below = max(row[1] for t, row in ev.rows("mean") if t != LIMIT)
+        assert worst_below > max(row[1] for _, row in rows) + 0.05
+        cert = check_mean_almost_invariant(ev, m, params)
+        assert cert.constants["n0"] == 8
+        assert cert.constants["worst_horizon"] == 8.0
+        assert_allclose(cert.constants["delta_min"], rows[0][1][1],
+                        rtol=1e-12)
+        assert cert.holds
+
 
 class TestIndexProfile:
     def test_counterexample_index_is_total_mass(self):

@@ -12,6 +12,7 @@ from ergocert.certificates.worstset import (
     signed_excess,
     worst_set_search,
 )
+from oracles import achieved, brute_force_worst, random_phi
 
 
 class TestSignedExcess:
@@ -43,10 +44,11 @@ class TestWorstSetSearch:
         # enumerating all 8 subsets puts the optimum at {0, 1}
         row = np.array([0.5, 0.3, 0.2])
         base = np.array([0.1, 0.2, 0.7])
-        found = worst_set_search(row, base, PhiPower(1.0, 1.0, 2.0))
+        phi = PhiPower(1.0, 1.0, 2.0)
+        found = worst_set_search(row, base, phi)
         assert_allclose(found.value, 0.8 - np.sqrt(0.3), rtol=1e-12)
         assert found.members == (0, 1)
-        assert found.cross_checked
+        assert brute_force_worst(row, base, phi)[1] == (0, 1)
 
     def test_zero_base_atom_is_free(self):
         row = np.array([0.3, 0.2])
@@ -65,13 +67,19 @@ class TestWorstSetSearch:
         with pytest.raises(ValueError, match="nonnegative"):
             worst_set_search([-0.1, 0.5], [0.5, 0.5], PhiLinear(1.0))
 
-    def test_dp_skipped_above_limit(self):
+    def test_modulus_outside_the_families_rejected(self):
+        # the prefix scan is exact only for the concave families, so any
+        # other callable is refused up front, however many atoms there are
         rng = np.random.default_rng(3)
         row = rng.random(30)
         base = rng.random(30)
-        found = worst_set_search(row, base, PhiLinear(1.0), dp_limit=8)
-        assert found.dp_value is None
-        assert not found.cross_checked
+        for phi in (lambda t: 0.5 * t, lambda t: np.asarray(t) ** 2):
+            with pytest.raises(ValueError, match="PhiLinear, PhiPower or "
+                                                 "PhiTable"):
+                worst_set_search(row, base, phi)
+            with pytest.raises(ValueError, match="PhiLinear, PhiPower or "
+                                                 "PhiTable"):
+                worst_set_search(row[:3], base[:3], phi)
 
     def test_table_modulus(self):
         phi = PhiTable([0.0, 0.5, 1.0], [0.0, 0.6, 0.9])
@@ -83,27 +91,11 @@ class TestWorstSetSearch:
         assert found.members == (0, 1)
 
 
-def _random_phi(rng):
-    kind = rng.integers(0, 3)
-    if kind == 0:
-        return PhiLinear(float(rng.uniform(0.0, 3.0)))
-    if kind == 1:
-        return PhiPower(float(rng.uniform(0.2, 2.0)),
-                        float(rng.uniform(0.5, 4.0)),
-                        float(rng.choice([1.5, 2.0, 3.0])))
-    # concave table: positive decreasing slopes
-    slopes = np.sort(rng.uniform(0.1, 3.0, size=3))[::-1]
-    knots_t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, size=3))])
-    knots_y = np.concatenate([[0.0], np.cumsum(slopes * np.diff(knots_t))])
-    return PhiTable(knots_t, knots_y)
-
-
 class TestPrefixEqualsEnumeration:
     def test_random_trials_agree_with_subset_enumeration(self):
-        # worst_set_search itself enumerates all subsets at small support
-        # and raises if the prefix scan misses the optimum; this drives
-        # 240 randomized instances through that cross-check and also
-        # asserts the recorded values agree.
+        # 240 randomized instances, each scored by the prefix scan and by
+        # the subset enumeration of tests/oracles.py; the two values agree
+        # and the returned members achieve the returned value.
         rng = np.random.default_rng(2024)
         sizes = ([int(rng.integers(2, 13)) for _ in range(180)]
                  + [int(rng.integers(13, 19)) for _ in range(52)]
@@ -114,13 +106,15 @@ class TestPrefixEqualsEnumeration:
             base = rng.random(n)
             base[rng.random(n) < 0.15] = 0.0  # free atoms
             row[rng.random(n) < 0.1] = 0.0    # useless atoms
-            phi = _random_phi(rng)
-            found = worst_set_search(row, base, phi, dp_limit=22)
-            assert found.cross_checked, f"trial {trial}: enumeration skipped"
-            scale = max(1.0, abs(found.prefix_value))
-            assert abs(found.prefix_value - found.dp_value) <= 1e-9 * scale, (
-                f"trial {trial}: prefix {found.prefix_value} vs "
-                f"enumeration {found.dp_value}")
+            phi = random_phi(rng)
+            found = worst_set_search(row, base, phi)
+            oracle, _ = brute_force_worst(row, base, phi)
+            scale = max(1.0, abs(found.value))
+            assert abs(found.value - oracle) <= 1e-9 * scale, (
+                f"trial {trial}: prefix {found.value} vs enumeration {oracle}")
+            got = achieved(row, base, phi, found.members)
+            assert abs(got - found.value) <= 1e-9 * scale, (
+                f"trial {trial}: members achieve {got}, not {found.value}")
 
     @given(st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=60, deadline=None)
@@ -129,11 +123,10 @@ class TestPrefixEqualsEnumeration:
         n = int(rng.integers(2, 10))
         row = rng.random(n)
         base = rng.random(n)
-        phi = _random_phi(rng)
+        phi = random_phi(rng)
         found = worst_set_search(row, base, phi)
-        members = list(found.members)
-        achieved = row[members].sum() - float(phi(base[members].sum()))
-        assert_allclose(found.value, achieved, rtol=1e-12, atol=1e-12)
+        assert_allclose(found.value, achieved(row, base, phi, found.members),
+                        rtol=1e-12, atol=1e-12)
         assert found.value >= -1e-15
 
 
