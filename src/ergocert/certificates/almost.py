@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from ..core import Kernel, Measure, StateSet
-from ..semigroup import (Generator, auxiliary_measure, discrete_resolvent,
+from ..semigroup import (Generator, _running_means, auxiliary_measure,
                          resolvent, uniformized)
 from ..solver import averaging_projector
 from .averages import (LIMIT, continuous_mean_rows, continuous_power_rows,
@@ -78,8 +78,8 @@ class Evidence:
     clipped at zero. Each of the three is computed when a check first
     reads it and kept for the next one, so a caller scoring several
     checks on the same triple passes one Evidence to each in place of
-    the system, and a check that reads only the means never computes
-    the powers.
+    the system. A kernel's means are running sums of its powers, so one
+    chain of vector-matrix products feeds both families.
     """
 
     system: object
@@ -95,7 +95,7 @@ class Evidence:
     @cached_property
     def means(self) -> tuple:
         if isinstance(self.system, Kernel):
-            return tuple(mean_rows(self.system, self.m, self.horizon))
+            return tuple(_running_means(self.m, self.powers, self.horizon))
         return tuple(continuous_mean_rows(self.system, self.m, self._ts()))
 
     @cached_property
@@ -156,14 +156,13 @@ def check_absolute_continuity(S, m: Measure) -> Certificate:
     alpha = 1, which weights every reachable state positively, so one
     probe row decides the condition for all times at once.
     """
+    w = m.weights
     if isinstance(S, Kernel):
-        step = S.rows
+        flow = w @ S.rows
         probe = "kernel"
     else:
-        step = resolvent(S, 1.0).rows
+        flow = auxiliary_measure(S, m, 1.0).weights
         probe = "resolvent"
-    w = m.weights
-    flow = w @ step
     null = w <= 0.0
     leaked = np.where(null, flow, 0.0)
     leak = float(leaked.sum())
@@ -172,8 +171,7 @@ def check_absolute_continuity(S, m: Measure) -> Certificate:
     witness = None
     if not ok:
         a = int(np.argmax(leaked))
-        witness = {"atom": S.space.labels[a] if hasattr(S, "space") else a,
-                   "leak": float(leaked[a])}
+        witness = {"atom": S.space.labels[a], "leak": float(leaked[a])}
     return Certificate(
         condition="absolute-continuity",
         verdict=HOLDS if ok else FAILS,
@@ -417,7 +415,7 @@ def check_resolvent_almost_invariant(S: Generator, m: Measure,
                                             zip(alphas, alphas[1:])):
         raise ValueError("alphas must be positive and strictly decreasing")
 
-    rows = [(a, m.weights @ resolvent(S, a).rows) for a in alphas]
+    rows = [(a, a * auxiliary_measure(S, m, a).weights) for a in alphas]
     rows.append((LIMIT, np.clip(limit_row(S, m), 0.0, None)))
 
     null = m.weights <= 0.0
@@ -568,10 +566,12 @@ def check_partial_subinvariance(K: Kernel, m: Measure,
     def drop_heaviest(mask, step, atom):
         if step == LIMIT:
             col = pi[:, atom]
-        elif step == 1:
-            col = rows[:, atom]
         else:
-            col = np.linalg.matrix_power(rows, int(step))[:, atom]
+            # column atom of K^step, one matrix-vector product per step
+            col = np.zeros(n)
+            col[atom] = 1.0
+            for _ in range(int(step)):
+                col = rows @ col
         contrib = w * mask * col
         mask[int(np.argmax(contrib))] = False
 
@@ -667,10 +667,8 @@ def check_occupation_half(S, nu: Measure, target: StateSet, t_grid=None,
     notes = "running-average occupation of the target set, limit included"
     if ok:
         mu_hat = Measure(S.space, lim * mask)
-        if discrete:
-            m_conc = Measure(S.space, mu_hat.weights @ discrete_resolvent(S).rows)
-        else:
-            m_conc = Measure(S.space, mu_hat.weights @ resolvent(S, alpha).rows)
+        smoothed = auxiliary_measure(S, mu_hat, alpha).weights
+        m_conc = Measure(S.space, smoothed if discrete else alpha * smoothed)
         if occ_limit > 0.5:
             delta = 1.0 / (2.0 * m_conc.mass)
             derived = check_almost_invariant(

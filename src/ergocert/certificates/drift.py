@@ -19,9 +19,9 @@ import math
 
 import numpy as np
 
-from ..core import (Kernel, Measure, StateFn, apply, dirac, push, state_mask,
+from ..core import (Kernel, Measure, StateFn, apply, dirac, state_mask,
                     state_values)
-from ..semigroup import discrete_resolvent, last_row, mean_rows, power_rows
+from ..semigroup import auxiliary_measure, last_row, mean_rows, power_rows
 from ..solver import averaging_projector
 from .almost import (Evidence, check_absolute_continuity,
                      check_almost_invariant, check_mean_almost_invariant,
@@ -391,8 +391,7 @@ def check_dominated_rows(P: Kernel, m: Measure, L: float, gamma_fn, C,
             witness = {"state": P.space.labels[int(i)], "gap": float(gap)}
     i_ok = worst_gap <= tol
 
-    R = discrete_resolvent(P)
-    mR = push(m, R)
+    mR = auxiliary_measure(P, m)
     a2 = check_absolute_continuity(P, mR)
 
     g = mask_C * (g_vals - 1.0)
@@ -479,7 +478,7 @@ def check_concentration(P: Kernel, m: Measure,
     notes = ""
     if ok and N >= 2:
         mean_cert = _mean_conclusion(
-            lambda: (P, push(m, discrete_resolvent(P))),
+            lambda: (P, auxiliary_measure(P, m)),
             params.phi.scale(m.mass),
             lambda ns: (1.0 + 1.0 / ns
                         - (1.0 - params.delta) * on[ns - 2] / m.mass),
@@ -602,7 +601,7 @@ def check_drift_concentration(P: Kernel, m: Measure, V, b_fn, C,
                  "r": float(r)}
     notes = ""
 
-    mR = push(m, discrete_resolvent(P))
+    mR = auxiliary_measure(P, m)
     ev = Evidence(P, mR, N)
     on = _mean_account(P, m.weights, mask_C.astype(float), N)
     mean_cert = _mean_conclusion(

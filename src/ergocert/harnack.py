@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (Kernel, StateFn, StateSet, dirac, identity, push,
                    state_index, state_mask, state_values)
-from .semigroup import discrete_resolvent
+from .semigroup import auxiliary_measure
 from .solver import solve_cesaro_adjoint
 from .certificates.drift import check_concentration, fit_drift_constants
 from .certificates.phi import AlmostInvarianceParams, PhiPower
@@ -238,20 +238,23 @@ def certify_harnack_pipeline(P: Kernel, V, C, z0=None, p: float = 2.0,
             attached=(hl, conc),
         )
 
-    mR = push(m, discrete_resolvent(P))
-    res = solve_cesaro_adjoint(P, mR)
+    return _holds_with_invariant("harnack-pipeline", "kernel", P, m,
+                                 constants, (hl, conc))
+
+
+def _holds_with_invariant(condition: str, what: str, P: Kernel, m,
+                          constants: dict, attached: tuple) -> Certificate:
+    """The passing certificate, after the averaging solver has turned the
+    resolvent-smoothed reference m o R into a nonzero invariant measure."""
+    res = solve_cesaro_adjoint(P, auxiliary_measure(P, m))
     if res.nu.mass <= 0.0:
         raise ArithmeticError(
-            "certified kernel produced the zero invariant measure")
-    constants["invariant_mass"] = res.nu.mass
-    constants["invariant_residual"] = res.residual
-    constants["solver_converged"] = res.converged
-    return Certificate(
-        condition="harnack-pipeline",
-        verdict=HOLDS,
-        constants=constants,
-        attached=(hl, conc),
-    )
+            f"certified {what} produced the zero invariant measure")
+    constants.update(invariant_mass=res.nu.mass,
+                     invariant_residual=res.residual,
+                     solver_converged=res.converged)
+    return Certificate(condition=condition, verdict=HOLDS,
+                       constants=constants, attached=attached)
 
 
 @dataclass(frozen=True)
@@ -422,20 +425,8 @@ def certify_perturbation(P: Kernel, V, gamma: float, c: float,
             attached=(conc,),
         )
 
-    mR = push(m, discrete_resolvent(mixed))
-    res = solve_cesaro_adjoint(mixed, mR)
-    if res.nu.mass <= 0.0:
-        raise ArithmeticError(
-            "certified mixture produced the zero invariant measure")
-    constants["invariant_mass"] = res.nu.mass
-    constants["invariant_residual"] = res.residual
-    constants["solver_converged"] = res.converged
-    return Certificate(
-        condition="perturbation",
-        verdict=HOLDS,
-        constants=constants,
-        attached=(conc,),
-    )
+    return _holds_with_invariant("perturbation", "mixture", mixed, m,
+                                 constants, (conc,))
 
 
 def diagnose_lazy_atoms(P: Kernel, spec: PerturbationSpec, C=None,

@@ -2,18 +2,20 @@
 
 A semigroup is either a Kernel (unit-time step, powers give the rest) or
 a Generator (conservative rate matrix, transition matrices come from
-uniformization). Resolvents are computed by direct linear solves, time
-integrals by composite Simpson quadrature on an exact uniform grid.
+uniformization). A measure goes through a resolvent by one transposed
+solve in auxiliary_measure, and the operators are formed only to be read.
+Time integrals use composite Simpson quadrature on an exact uniform grid.
 
 The one discrete chain lives here: power_rows yields m K^n and mean_rows
-m S_n, step by step. kb_measure, the almost-invariance evidence, the drift
-accounts, the row gaps and the Cesaro limit check all read them, and
-certificates.averages re-exports both.
+sums those rows into m S_n, step by step. kb_measure, the almost-invariance
+evidence, the drift accounts, the row gaps and the Cesaro limit check all
+read them, and certificates.averages re-exports both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Union
 
 import numpy as np
@@ -113,11 +115,14 @@ def mean_rows(K: Kernel, m: Measure, horizon: int, n0: int = 1):
 
     S_n averages the first n powers starting at the identity.
     """
-    v = m.weights.astype(float)
-    acc = np.zeros_like(v)
-    for n in range(1, int(horizon) + 1):
-        if n > 1:
-            v = v @ K.rows
+    yield from _running_means(m, power_rows(K, m, horizon), horizon, n0)
+
+
+def _running_means(m: Measure, powers, horizon: int, n0: int = 1):
+    """mean_rows off m and the (k, m K^k) pairs of power_rows."""
+    acc = np.zeros(m.space.size)
+    steps = chain([m.weights], (v for _, v in powers))
+    for n, v in zip(range(1, int(horizon) + 1), steps):
         acc += v
         if n >= n0:
             yield n, acc / n
@@ -197,35 +202,42 @@ def transition_at(S: Semigroup, t) -> Kernel:
                   on_rowsum="renormalize" if halvings else "reject")
 
 
+def _resolvent_matrix(S: Semigroup, alpha: float) -> np.ndarray:
+    """A = I - K/2 with resolvent A^{-1}/2, or A = alpha I - Q with R_alpha
+    = A^{-1}, whose row sums must stay within 1e-9 of 1/alpha."""
+    if isinstance(S, Kernel):
+        return np.eye(S.size) - 0.5 * S.rows
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    A = alpha * np.eye(S.size) - S.rates
+    if np.abs(alpha * np.linalg.solve(A, np.ones(S.size)) - 1.0).max() > 1e-9:
+        raise ArithmeticError("resolvent solve lost mass; generator is "
+                              "too ill-conditioned at this alpha")
+    return A
+
+
 def resolvent_raw(G: Generator, alpha: float) -> np.ndarray:
-    """R_alpha = (alpha I - Q)^{-1} as a plain matrix (mass 1/alpha rows)."""
+    """R_alpha = (alpha I - Q)^{-1} as a plain matrix (mass 1/alpha rows),
+    for code that reads the operator; measures go via auxiliary_measure."""
     if not isinstance(G, Generator):
         raise ValueError("resolvents of discrete semigroups come from "
                          "discrete_resolvent")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    n = G.size
-    out = np.linalg.solve(alpha * np.eye(n) - G.rates, np.eye(n))
-    sums = out.sum(axis=1) * alpha
-    if np.abs(sums - 1.0).max() > 1e-9:
-        raise ArithmeticError("resolvent solve lost mass; generator is "
-                              "too ill-conditioned at this alpha")
-    return out
+    return np.linalg.solve(_resolvent_matrix(G, alpha), np.eye(G.size))
 
 
 def resolvent(S: Semigroup, alpha: float) -> Kernel:
-    """Markovian kernel alpha * R_alpha of a continuous semigroup."""
-    raw = resolvent_raw(S, alpha)
-    return Kernel(S.space, alpha * raw, kind="markovian",
+    """Markovian kernel alpha * R_alpha of a continuous semigroup, for code
+    that reads the operator; measures go via auxiliary_measure."""
+    return Kernel(S.space, alpha * resolvent_raw(S, alpha), kind="markovian",
                   on_rowsum="renormalize")
 
 
 def discrete_resolvent(K: Kernel) -> Kernel:
-    """Half-geometric resolvent sum_k 2^-(k+1) K^k = (1/2)(I - K/2)^{-1}."""
+    """Half-geometric resolvent sum_k 2^-(k+1) K^k = (1/2)(I - K/2)^{-1},
+    for code that reads the operator; measures go via auxiliary_measure."""
     if not isinstance(K, Kernel):
         raise ValueError("discrete_resolvent expects a kernel")
-    n = K.size
-    rows = np.linalg.solve(np.eye(n) - 0.5 * K.rows, 0.5 * np.eye(n))
+    rows = np.linalg.solve(_resolvent_matrix(K, 1.0), 0.5 * np.eye(K.size))
     return Kernel(K.space, rows, kind=K.kind, on_rowsum="renormalize")
 
 
@@ -234,19 +246,19 @@ def auxiliary_measure(S: Semigroup, mu: Measure, alpha: float = 1.0) -> Measure:
 
     Discrete: mu composed with the half-geometric resolvent (same mass).
     Continuous: mu composed with the raw resolvent R_alpha (mass scaled
-    by 1/alpha). Either way the result respects its own null sets under
-    the dynamics, which is asserted before returning.
+    by 1/alpha). Either way mu goes through one transposed solve,
+    (I - K/2)^T x = mu/2 or (alpha I - Q)^T x = mu, and no operator is
+    formed. The result respects its own null sets one step further,
+    through K or alpha R_alpha, which is asserted before returning.
     """
     _check_same_space(mu, S)
-    if isinstance(S, Kernel):
-        m = Measure(S.space, mu.weights @ discrete_resolvent(S).rows)
-        step = S.rows
-    else:
-        m = Measure(S.space, mu.weights @ resolvent_raw(S, alpha))
-        step = resolvent(S, alpha).rows
-    flow = m.weights @ step
-    null = m.weights <= 0.0
-    leak = float(flow[null].sum()) if null.any() else 0.0
+    A = _resolvent_matrix(S, alpha)
+    discrete = isinstance(S, Kernel)
+    x = np.linalg.solve(A.T, 0.5 * mu.weights if discrete else mu.weights)
+    m = Measure(S.space, np.maximum(x, 0.0))
+    flow = (m.weights @ S.rows if discrete
+            else np.linalg.solve(A.T, alpha * m.weights))
+    leak = float(flow[m.weights <= 0.0].sum())
     if leak > 1e-15 * max(1.0, m.mass):
         raise AssertionError(
             f"auxiliary measure leaks {leak:.3e} outside its support; "

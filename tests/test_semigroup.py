@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ergocert.core import Kernel, Measure, StateSpace, power, push
+from ergocert.certificates.almost import check_occupation_half
+from ergocert.certificates.drift import (check_dominated_rows,
+                                         check_drift_concentration)
+from ergocert.certificates.phi import AlmostInvarianceParams, PhiLinear
+from ergocert.core import (Kernel, Measure, StateSet, StateSpace, dirac, power,
+                           push)
+from ergocert.harnack import certify_harnack_pipeline
 from ergocert.semigroup import (
     Generator,
     auxiliary_measure,
@@ -19,6 +25,7 @@ from ergocert.semigroup import (
     transition_at,
     uniformized,
 )
+from ergocert.scenarios import absorbing_pair, birth_death, block_chain
 from ergocert.solver import solve_continuous
 
 S2 = StateSpace.range(2)
@@ -205,6 +212,96 @@ class TestAuxiliaryMeasure:
         P = Kernel(S2, [[0.5, 0.5], [0.5, 0.5]])
         m = auxiliary_measure(P, Measure(S2, [1.0, 0.0]))
         assert (m.weights > 0).all()
+
+
+def sparse_start(rng, n):
+    """A random start law with about a third of its atoms null."""
+    w = rng.random(n) * (rng.random(n) < 0.7)
+    w[int(rng.integers(n))] = 1.0
+    return Measure(StateSpace.range(n), w / w.sum())
+
+
+class TestAuxiliaryPush:
+    """auxiliary_measure's one transposed solve against the formed operators."""
+
+    @staticmethod
+    def assert_same_push(got, want):
+        assert np.array_equal(got > 0.0, want > 0.0)
+        assert np.abs(got - want).sum() <= 1e-13 * np.abs(want).sum()
+
+    def test_kernels(self):
+        rng = np.random.default_rng(17)
+        pair, bd, blocks = absorbing_pair(), birth_death(40), block_chain()
+        cases = [(pair.kernel, pair.extras["m_dirac"]),
+                 (pair.kernel, pair.extras["m_uniform"]),
+                 (bd.kernel, dirac(bd.kernel.space, 0)),
+                 (blocks.kernel, dirac(blocks.kernel.space, 0)),
+                 (blocks.kernel, blocks.m)]
+        for _ in range(20):
+            n = int(rng.integers(2, 12))
+            rows = (rng.random((n, n)) + 0.05) * (rng.random((n, n)) < 0.15)
+            rows[np.arange(n), np.arange(n)] += 0.1
+            rows /= rows.sum(axis=1, keepdims=True)
+            cases.append((Kernel(StateSpace.range(n), rows),
+                          sparse_start(rng, n)))
+        for K, mu in cases:
+            self.assert_same_push(auxiliary_measure(K, mu).weights,
+                                  push(mu, discrete_resolvent(K)).weights)
+
+    def test_generators(self):
+        rng = np.random.default_rng(18)
+        for i in range(20):
+            n = int(rng.integers(2, 12))
+            G = random_generator(rng, n)
+            if i % 2:
+                # cut most rates, so some states are out of reach
+                off = G.rates * (rng.random((n, n)) < 0.15)
+                np.fill_diagonal(off, 0.0)
+                np.fill_diagonal(off, -off.sum(axis=1))
+                G = Generator(G.space, off)
+            mu = sparse_start(rng, n)
+            a = float(rng.uniform(0.2, 5.0))
+            self.assert_same_push(auxiliary_measure(G, mu, a).weights,
+                                  mu.weights @ resolvent_raw(G, a))
+
+    def test_no_operator_formed_to_push_one_measure(self, monkeypatch):
+        # every resolvent-smoothed measure below is one vector solve: no
+        # call hands numpy an n x n right-hand side
+        rhs_shapes = []
+        real_solve = np.linalg.solve
+
+        def solve(a, b):
+            rhs_shapes.append(np.shape(b))
+            return real_solve(a, b)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+
+        bd = birth_death(30, 0.6)
+        P, V, C = bd.kernel, bd.V, bd.C
+        w = np.random.default_rng(19).random(30) + 0.1
+        m = Measure(P.space, w / w.sum())
+        drift_b = np.zeros(30)
+        drift_b[0] = bd.extras["drift_b"]
+        two = Kernel(S2, [[0.9, 0.1], [0.2, 0.8]])
+        start = Measure(S2, [1.0, 0.0])
+        params = AlmostInvarianceParams(PhiLinear(40.0), 0.0, horizon=100)
+        # (system size, run); each run reaches its resolvent push
+        runs = [
+            (30, lambda: auxiliary_measure(P, dirac(P.space, 0)).mass > 0),
+            (2, lambda: auxiliary_measure(SYM, start, alpha=2.0).mass > 0),
+            (30, lambda: certify_harnack_pipeline(P, V, C).holds),
+            (30, lambda: check_dominated_rows(P, m, 40.0, np.full(30, 0.5),
+                                              C, n0=3, N=200).holds),
+            (30, lambda: check_drift_concentration(P, m, V, drift_b, C,
+                                                   params).holds),
+            (2, lambda: check_occupation_half(two, start,
+                                              StateSet(S2, [0])).holds),
+            (2, lambda: check_occupation_half(SYM, start,
+                                              StateSet(S2, [0])).holds),
+        ]
+        for n, run in runs:
+            rhs_shapes.clear()
+            assert run()
+            assert rhs_shapes and (n, n) not in rhs_shapes
 
 
 class TestDiscreteChain:
