@@ -158,11 +158,9 @@ def check_absolute_continuity(S, m: Measure) -> Certificate:
     """
     w = m.weights
     if isinstance(S, Kernel):
-        flow = w @ S.rows
-        probe = "kernel"
+        flow, probe = w @ S.rows, "kernel"
     else:
-        flow = auxiliary_measure(S, m, 1.0).weights
-        probe = "resolvent"
+        flow, probe = auxiliary_measure(S, m, 1.0).weights, "resolvent"
     null = w <= 0.0
     leaked = np.where(null, flow, 0.0)
     leak = float(leaked.sum())
@@ -568,9 +566,8 @@ def check_partial_subinvariance(K: Kernel, m: Measure,
             col = pi[:, atom]
         else:
             # column atom of K^step, one matrix-vector product per step
-            col = np.zeros(n)
-            col[atom] = 1.0
-            for _ in range(int(step)):
+            col = rows[:, atom]
+            for _ in range(int(step) - 1):
                 col = rows @ col
         contrib = w * mask * col
         mask[int(np.argmax(contrib))] = False

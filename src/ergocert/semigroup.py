@@ -202,18 +202,18 @@ def transition_at(S: Semigroup, t) -> Kernel:
                   on_rowsum="renormalize" if halvings else "reject")
 
 
-def _resolvent_matrix(S: Semigroup, alpha: float) -> np.ndarray:
-    """A = I - K/2 with resolvent A^{-1}/2, or A = alpha I - Q with R_alpha
-    = A^{-1}, whose row sums must stay within 1e-9 of 1/alpha."""
-    if isinstance(S, Kernel):
-        return np.eye(S.size) - 0.5 * S.rows
+def _generator_solve(G: Generator, alpha: float, rhs: np.ndarray):
+    """A = alpha I - Q and X = A^{-1} rhs, for rhs = I or a ones column.
+    The row sums of X are those of R_alpha and must stay within 1e-9 of
+    1/alpha."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    A = alpha * np.eye(S.size) - S.rates
-    if np.abs(alpha * np.linalg.solve(A, np.ones(S.size)) - 1.0).max() > 1e-9:
+    A = alpha * np.eye(G.size) - G.rates
+    X = np.linalg.solve(A, rhs)
+    if np.abs(alpha * X.sum(axis=1) - 1.0).max() > 1e-9:
         raise ArithmeticError("resolvent solve lost mass; generator is "
                               "too ill-conditioned at this alpha")
-    return A
+    return A, X
 
 
 def resolvent_raw(G: Generator, alpha: float) -> np.ndarray:
@@ -222,7 +222,7 @@ def resolvent_raw(G: Generator, alpha: float) -> np.ndarray:
     if not isinstance(G, Generator):
         raise ValueError("resolvents of discrete semigroups come from "
                          "discrete_resolvent")
-    return np.linalg.solve(_resolvent_matrix(G, alpha), np.eye(G.size))
+    return _generator_solve(G, alpha, np.eye(G.size))[1]
 
 
 def resolvent(S: Semigroup, alpha: float) -> Kernel:
@@ -237,7 +237,8 @@ def discrete_resolvent(K: Kernel) -> Kernel:
     for code that reads the operator; measures go via auxiliary_measure."""
     if not isinstance(K, Kernel):
         raise ValueError("discrete_resolvent expects a kernel")
-    rows = np.linalg.solve(_resolvent_matrix(K, 1.0), 0.5 * np.eye(K.size))
+    n = K.size
+    rows = np.linalg.solve(np.eye(n) - 0.5 * K.rows, 0.5 * np.eye(n))
     return Kernel(K.space, rows, kind=K.kind, on_rowsum="renormalize")
 
 
@@ -247,17 +248,19 @@ def auxiliary_measure(S: Semigroup, mu: Measure, alpha: float = 1.0) -> Measure:
     Discrete: mu composed with the half-geometric resolvent (same mass).
     Continuous: mu composed with the raw resolvent R_alpha (mass scaled
     by 1/alpha). Either way mu goes through one transposed solve,
-    (I - K/2)^T x = mu/2 or (alpha I - Q)^T x = mu, and no operator is
-    formed. The result respects its own null sets one step further,
+    (I - K/2)^T x = mu/2 or (alpha I - Q)^T x = mu, and Measure rejects
+    a negative x. The result respects its own null sets one step further,
     through K or alpha R_alpha, which is asserted before returning.
     """
     _check_same_space(mu, S)
-    A = _resolvent_matrix(S, alpha)
-    discrete = isinstance(S, Kernel)
-    x = np.linalg.solve(A.T, 0.5 * mu.weights if discrete else mu.weights)
-    m = Measure(S.space, np.maximum(x, 0.0))
-    flow = (m.weights @ S.rows if discrete
-            else np.linalg.solve(A.T, alpha * m.weights))
+    if isinstance(S, Kernel):
+        A = np.eye(S.size) - 0.5 * S.rows
+        m = Measure(S.space, np.linalg.solve(A.T, 0.5 * mu.weights))
+        flow = m.weights @ S.rows
+    else:
+        A, _ = _generator_solve(S, alpha, np.ones((S.size, 1)))
+        m = Measure(S.space, np.linalg.solve(A.T, mu.weights))
+        flow = np.linalg.solve(A.T, alpha * m.weights)
     leak = float(flow[m.weights <= 0.0].sum())
     if leak > 1e-15 * max(1.0, m.mass):
         raise AssertionError(

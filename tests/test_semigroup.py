@@ -213,6 +213,13 @@ class TestAuxiliaryMeasure:
         m = auxiliary_measure(P, Measure(S2, [1.0, 0.0]))
         assert (m.weights > 0).all()
 
+    def test_general_kernel_past_row_sum_two_is_rejected(self):
+        # I - K/2 is no M-matrix once a row sum reaches 2: the push turns
+        # negative, and the measure must refuse it rather than clip it
+        K = Kernel(S2, [[3.0, 0.0], [0.0, 0.5]], kind="general")
+        with pytest.raises(ValueError, match="nonnegative"):
+            auxiliary_measure(K, Measure(S2, [0.5, 0.5]))
+
 
 def sparse_start(rng, n):
     """A random start law with about a third of its atoms null."""
