@@ -10,7 +10,9 @@ implication is re-verified rather than assumed.
 
 State functions may take the value +inf (truncation boundaries); every
 pointwise check runs on the finite sub-level region and a row feeding
-mass into an infinite atom counts as a violation there.
+mass into an infinite atom counts as a violation there. _pointwise_drift
+is the one place where a drift inequality PV <= rhs is decided, here and
+in the harnack module.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
 
 
 def _ptol(*arrays):
+    """1e-12 times the largest finite magnitude among arrays, at least one."""
     scale = 1.0
     for a in arrays:
         a = np.asarray(a, dtype=float)
@@ -74,19 +77,36 @@ def _limit_mean(P: Kernel, g: np.ndarray) -> np.ndarray:
     return averaging_projector(P) @ g
 
 
-def _pointwise_drift(P: Kernel, v, rhs):
-    """Max of PV - rhs over finite-V states, with the violating state.
+def _pointwise_drift(P: Kernel, v, rhs, *scales):
+    """Decide PV <= rhs on [V < inf] up to _ptol(v, *scales).
 
-    Rows that feed an infinite atom from a finite-V state violate by inf.
+    Returns the max of PV - rhs over finite-V states and, when that
+    exceeds the tolerance, the witness {"state", "violation"} at the
+    first state attaining it. Rows that feed an infinite atom from a
+    finite-V state violate by inf; rhs is never read where V is infinite.
     """
     pv = _kernel_image(P, v)
     fin = np.isfinite(v)
     gap = pv[fin] - rhs[fin]
     if gap.size == 0:
-        return 0.0, None, pv
+        return 0.0, None
     k = int(np.argmax(gap))
-    idx = np.flatnonzero(fin)[k]
-    return float(gap[k]), int(idx), pv
+    worst = float(gap[k])
+    if worst <= _ptol(v, *scales):
+        return worst, None
+    return worst, {"state": P.space.labels[int(np.flatnonzero(fin)[k])],
+                   "violation": worst}
+
+
+def _small_part(P: Kernel, mask, empty_note: str):
+    """Smallness of a set as (attached, ok, alpha, note).
+
+    An empty set fails without a check and carries empty_note.
+    """
+    if not mask.any():
+        return (), False, None, empty_note
+    small = check_smallness(P, mask)
+    return (small,), small.holds, small.constants["alpha"], ""
 
 
 def check_smallness(P: Kernel, C) -> Certificate:
@@ -153,9 +173,7 @@ def check_geometric_drift(P: Kernel, V, gamma: float, b: float,
         raise ValueError("b must be nonnegative")
     v = state_values(P.space, V, "V", low=0.0)
 
-    tol = _ptol(v[np.isfinite(v)], [b])
-    worst, worst_idx, _ = _pointwise_drift(P, v, gamma * v + b)
-    drift_ok = worst <= tol
+    worst, witness = _pointwise_drift(P, v, gamma * v + b, [b])
 
     threshold = 2.0 * b / (1.0 - gamma)
     thr_ok = r > threshold
@@ -164,23 +182,13 @@ def check_geometric_drift(P: Kernel, V, gamma: float, b: float,
         notes.append("strict inequality required")
 
     sub_mask = np.isfinite(v) & (v <= r)
-    attached = ()
-    alpha = None
-    if sub_mask.any():
-        small = check_smallness(P, sub_mask)
-        attached = (small,)
-        small_ok = small.holds
-        alpha = small.constants["alpha"]
-    else:
-        small_ok = False
-        notes.append("sub-level set is empty")
+    attached, small_ok, alpha, empty = _small_part(
+        P, sub_mask, "sub-level set is empty")
+    if empty:
+        notes.append(empty)
 
-    ok = drift_ok and thr_ok and small_ok
-    witness = None
-    if not drift_ok and worst_idx is not None:
-        witness = {"state": P.space.labels[worst_idx],
-                   "violation": worst}
-    elif not thr_ok:
+    ok = witness is None and thr_ok and small_ok
+    if witness is None and not thr_ok:
         witness = {"r": float(r), "r_threshold": threshold}
     return Certificate(
         condition="geometric-drift",
@@ -209,26 +217,11 @@ def check_localized_drift(P: Kernel, V, gamma: float, b: float,
     v = state_values(P.space, V, "V", low=1.0)
     mask = state_mask(P.space, S)
 
-    tol = _ptol(v[np.isfinite(v)], [b])
-    worst, worst_idx, _ = _pointwise_drift(P, v, gamma * v + b * mask)
-    drift_ok = worst <= tol
+    worst, witness = _pointwise_drift(P, v, gamma * v + b * mask, [b])
+    attached, small_ok, alpha, notes = _small_part(
+        P, mask, "empty set cannot carry the minorization")
 
-    attached = ()
-    alpha = None
-    notes = ""
-    if mask.any():
-        small = check_smallness(P, mask)
-        attached = (small,)
-        small_ok = small.holds
-        alpha = small.constants["alpha"]
-    else:
-        small_ok = False
-        notes = "empty set cannot carry the minorization"
-
-    ok = drift_ok and small_ok
-    witness = None
-    if not drift_ok and worst_idx is not None:
-        witness = {"state": P.space.labels[worst_idx], "violation": worst}
+    ok = witness is None and small_ok
     return Certificate(
         condition="localized-drift",
         verdict=HOLDS if ok else FAILS,
@@ -261,9 +254,7 @@ def check_additive_drift(P: Kernel, V, b: float, C,
         if (nxt & ~prev).any():
             raise ValueError("tail sets must be decreasing")
 
-    tol = _ptol(v[np.isfinite(v)], [b])
-    worst, worst_idx, _ = _pointwise_drift(P, v, v - 1.0 + b * mask_C)
-    drift_ok = worst <= tol
+    worst, witness = _pointwise_drift(P, v, v - 1.0 + b * mask_C, [b])
 
     idx_C = np.flatnonzero(mask_C)
     tail_sups = []
@@ -279,14 +270,11 @@ def check_additive_drift(P: Kernel, V, b: float, C,
         dom_mass = 0.0
 
     tails_ok = (not masks) or tail_sups[-1] == 0.0
-    ok = drift_ok and tails_ok
+    ok = witness is None and tails_ok
     notes = ("additivity evidence: tail sups and row domination; finite "
              "spaces always dominate")
     if masks and not tails_ok:
         notes += "; last tail window still reachable from C"
-    witness = None
-    if not drift_ok and worst_idx is not None:
-        witness = {"state": P.space.labels[worst_idx], "violation": worst}
     return Certificate(
         condition="additive-drift",
         verdict=HOLDS if ok else FAILS,
@@ -505,16 +493,12 @@ def check_generalized_drift(P: Kernel, V, b_fn, C) -> Certificate:
     b_vals = state_values(P.space, b_fn, "b_fn", low=0.0, finite=True)
     mask_C = state_mask(P.space, C)
 
-    tol = _ptol(v[np.isfinite(v)], b_vals)
-    worst, worst_idx, _ = _pointwise_drift(P, v, v - 1.0 + b_vals * mask_C)
-    ok = worst <= tol
-    witness = None
-    if not ok and worst_idx is not None:
-        witness = {"state": P.space.labels[worst_idx], "violation": worst}
+    worst, witness = _pointwise_drift(P, v, v - 1.0 + b_vals * mask_C,
+                                      b_vals)
     on_C = b_vals[mask_C]
     return Certificate(
         condition="generalized-drift",
-        verdict=HOLDS if ok else FAILS,
+        verdict=HOLDS if witness is None else FAILS,
         constants={"max_violation": worst, "b_max": float(b_vals.max()),
                    "b_on_set_max": float(on_C.max()) if on_C.size else 0.0},
         witness=witness,
@@ -647,12 +631,24 @@ def invariant_count_bound(m: Measure, phi, delta: float) -> float:
     return m.mass / floor
 
 
-def _first_sublevel(m: Measure, v: np.ndarray) -> int:
+def _occupation_window(P: Kernel, v: np.ndarray, C, m: Measure,
+                       horizon: int):
+    """The window both occupation bounds read, as (n0, eps, sub, N, 1_C, on).
+
+    n0 is the first integer level whose sub-level set sub = [V <= n0]
+    carries m-mass eps > 0, N = max(2*n0, horizon) and on holds
+    m(S_n 1_C) for 2*n0 <= n <= N.
+    """
+    ind_C = state_mask(P.space, C).astype(float)
     fin = np.isfinite(v) & (m.weights > 0.0)
     if not fin.any():
         raise ValueError("measure puts no mass where V is finite")
-    vmin = float(v[fin].min())
-    return max(1, int(math.ceil(vmin - 1e-12)))
+    n0 = max(1, int(math.ceil(float(v[fin].min()) - 1e-12)))
+    sub = np.isfinite(v) & (v <= n0)
+    eps = float(m.weights[sub].sum())
+    N = max(2 * n0, horizon)
+    on = _mean_account(P, m.weights, ind_C, N)[2 * n0 - 1:]
+    return n0, eps, sub, N, ind_C, on
 
 
 def additive_drift_occupation_bound(P: Kernel, V, b: float, C, m: Measure,
@@ -666,14 +662,9 @@ def additive_drift_occupation_bound(P: Kernel, V, b: float, C, m: Measure,
     if b <= 0.0:
         raise ValueError("b must be positive")
     v = state_values(P.space, V, "V", low=0.0)
-    mask_C = state_mask(P.space, C)
-    n0 = _first_sublevel(m, v)
-    eps = float(m.weights[np.isfinite(v) & (v <= n0)].sum())
+    n0, eps, _, _, ind_C, on = _occupation_window(P, v, C, m, horizon)
     bound = eps / (2.0 * b)
-
-    N = max(2 * n0, horizon)
-    on = _mean_account(P, m.weights, mask_C.astype(float), N)[2 * n0 - 1:]
-    o_lim = float(m.weights @ _limit_mean(P, mask_C.astype(float)))
+    o_lim = float(m.weights @ _limit_mean(P, ind_C))
     slack = 1e-12 * max(1.0, bound)
     ok = bool((on >= bound - slack).all() and o_lim >= bound - slack)
     return {"n0": n0, "eps": eps, "bound": bound, "ok": ok,
@@ -690,18 +681,11 @@ def generalized_drift_occupation_bound(P: Kernel, V, b_fn, C, m: Measure,
     """
     v = state_values(P.space, V, "V", low=0.0)
     b_vals = state_values(P.space, b_fn, "b_fn", low=0.0, finite=True)
-    mask_C = state_mask(P.space, C)
-    n0 = _first_sublevel(m, v)
-    eps = float(m.weights[np.isfinite(v) & (v <= n0)].sum())
-
-    N = max(2 * n0, horizon)
-    wr = m.weights * (np.isfinite(v) & (v <= n0))
-    dn = _mean_account(P, wr, b_vals ** 2, N)[2 * n0 - 1:]
+    n0, eps, sub, N, _, on = _occupation_window(P, v, C, m, horizon)
+    dn = _mean_account(P, m.weights * sub, b_vals ** 2, N)[2 * n0 - 1:]
     if (dn <= 0.0).any():
         raise ValueError("cost function vanishes on the averaged window")
     bounds = eps ** 2 / (4.0 * dn)
-
-    on = _mean_account(P, m.weights, mask_C.astype(float), N)[2 * n0 - 1:]
     slack = 1e-12 * max(1.0, float(bounds.max()))
     ok = bool((on >= bounds - slack).all())
     b_sup = float(b_vals.max())

@@ -55,10 +55,10 @@ def weighted_gap_norm(P: Kernel, m: Measure, V, n: int) -> float:
 
     Equals max_x (1+V(x))^{-1} sum_a |P^n(x,a) - m(a)| (1+V(a)); the
     maximizing f is sign(P^n(x,a) - m(a)) * (1+V(a)) at the worst row.
-    Requires m invariant for P up to 1e-10 in l1.
+    Requires m invariant for P up to 1e-10 in l1 and V finite.
     """
     w = _check_invariant(P, m)
-    v = state_values(P.space, V, "V", low=0.0)
+    v = state_values(P.space, V, "V", low=0.0, finite=True)
     if n < 0:
         raise ValueError("n must be nonnegative")
     return _gap_norm(power(P, n).rows, w, 1.0 + v)
@@ -70,7 +70,7 @@ def weighted_step_norm(P: Kernel, V, n: int = 1) -> float:
     max_x (1+V(x))^{-1} sum_a P^n(x,a) (1+V(a)); submultiplicative
     companion to weighted_gap_norm.
     """
-    v = state_values(P.space, V, "V", low=0.0)
+    v = state_values(P.space, V, "V", low=0.0, finite=True)
     weight = 1.0 + v
     return float(((power(P, n).rows @ weight) / weight).max())
 
@@ -112,7 +112,7 @@ def decay_report(P: Kernel, m: Measure, V, n_grid=DEFAULT_GRID,
     if not ns or any(n < 1 for n in ns):
         raise ValueError("n_grid must hold positive horizons")
     w = _check_invariant(P, m)
-    weight = 1.0 + state_values(P.space, V, "V", low=0.0)
+    weight = 1.0 + state_values(P.space, V, "V", low=0.0, finite=True)
     norms = []
     rows, at = None, 0
     for n in ns:

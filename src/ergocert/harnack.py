@@ -13,6 +13,11 @@ with constants that degrade explicitly in the mixing bounds, provided Q
 is dominated by a linear drift below a sharp threshold. A diagnostic
 reports why the lazy special case Q = identity resists the plain
 drift-plus-smallness route.
+
+Lyapunov functions may take the value +inf on a truncation boundary, with
+the drift module's convention: every drift inequality is decided by its
+_pointwise_drift on [V < inf], where a row feeding an infinite atom
+violates by inf.
 """
 
 from dataclasses import dataclass
@@ -23,7 +28,8 @@ from .core import (Kernel, StateFn, StateSet, dirac, identity, push,
                    state_index, state_mask, state_values)
 from .semigroup import auxiliary_measure
 from .solver import solve_cesaro_adjoint
-from .certificates.drift import check_concentration, fit_drift_constants
+from .certificates.drift import (_kernel_image, _pointwise_drift,
+                                 check_concentration, fit_drift_constants)
 from .certificates.phi import AlmostInvarianceParams, PhiPower
 from .certificates.types import FAILS, HOLDS, INCONCLUSIVE, Certificate
 
@@ -103,11 +109,27 @@ def harnack_maximizer(P: Kernel, x, y, p: float) -> StateFn:
     return StateFn(P.space, f)
 
 
+def _window_max(P: Kernel, z: int, members, p: float):
+    """max over members of M(z, x; p), one on an empty window.
+
+    Returns (M, None), or (inf, x) at the first member x whose constant
+    is infinite.
+    """
+    m_star = -np.inf if len(members) else 1.0
+    for i in members:
+        hc = harnack_constant(P, z, int(i), p)
+        if not hc.finite:
+            return float("inf"), int(i)
+        m_star = max(m_star, hc.M)
+    return float(m_star), None
+
+
 def check_harnack_drift(P: Kernel, V, gamma: float, c: float, C,
                         z0, p: float) -> Certificate:
     """Contraction drift plus a finite comparison constant over a window.
 
-    Two requirements: PV <= gamma*V + c pointwise, and
+    Two requirements: PV <= gamma*V + c pointwise on [V < inf] (V may be
+    +inf, and a row feeding an infinite atom violates by inf), and
     M* = max_{x in C} M(z0, x; p) finite, so every row from C is
     power-p dominated by the single reference row at z0. Constants
     report (M*, z0); the witness on failure is the drift violator or
@@ -123,31 +145,12 @@ def check_harnack_drift(P: Kernel, V, gamma: float, c: float, C,
     z = state_index(P.space, z0)
     mask = state_mask(P.space, C)
 
-    pv = P.rows @ v
-    rhs = gamma * v + c
-    gaps = pv - rhs
-    tol = 1e-12 * max(1.0, float(np.abs(v).max()), c)
-    worst_i = int(np.argmax(gaps))
-    drift_ok = gaps[worst_i] <= tol
-
+    worst, witness = _pointwise_drift(P, v, gamma * v + c, [c])
     members = np.flatnonzero(mask)
-    m_star = 1.0 if members.size == 0 else -np.inf
-    bad_state = None
-    for i in members:
-        hc = harnack_constant(P, z, int(i), p)
-        if not hc.finite:
-            m_star = float("inf")
-            bad_state = int(i)
-            break
-        m_star = max(m_star, hc.M)
-    finite_ok = np.isfinite(m_star)
+    m_star, bad_state = _window_max(P, z, members, p)
 
-    ok = drift_ok and finite_ok
-    witness = None
-    if not drift_ok:
-        witness = {"state": P.space.labels[worst_i],
-                   "violation": float(gaps[worst_i])}
-    elif not finite_ok:
+    ok = witness is None and bad_state is None
+    if witness is None and bad_state is not None:
         witness = {"state": P.space.labels[bad_state],
                    "M": float("inf")}
     notes = "empty window makes the comparison vacuous" if members.size == 0 else ""
@@ -155,8 +158,8 @@ def check_harnack_drift(P: Kernel, V, gamma: float, c: float, C,
         condition="harnack-drift",
         verdict=HOLDS if ok else FAILS,
         constants={"gamma": float(gamma), "c": float(c), "p": float(p),
-                   "M_star": float(m_star), "z0": P.space.labels[z],
-                   "drift_gap": float(gaps[worst_i])},
+                   "M_star": m_star, "z0": P.space.labels[z],
+                   "drift_gap": worst},
         witness=witness,
         notes=notes,
     )
@@ -185,9 +188,9 @@ def certify_harnack_pipeline(P: Kernel, V, C, z0=None, p: float = 2.0,
     try:
         gamma, c = fit_drift_constants(P, V)
     except ValueError as exc:
-        pv = P.rows @ v
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(v > 0.0, pv / v, np.inf)
+        pos = np.isfinite(v) & (v > 0.0)
+        ratios = np.full(P.size, np.inf)
+        ratios[pos] = _kernel_image(P, v)[pos] / v[pos]
         worst_i = int(np.argmax(np.where(np.isfinite(ratios), ratios, -np.inf)))
         return Certificate(
             condition="harnack-pipeline",
@@ -308,7 +311,8 @@ def certify_perturbation(P: Kernel, V, gamma: float, c: float,
 
     Hypotheses checked: the threshold l < (1 - b*gamma)/(1 - a) with
     a, b the mixing bounds (strict; a failure reports both sides);
-    PV <= gamma*V + c and QV <= l*V + eta pointwise; finite
+    PV <= gamma*V + c and QV <= l*V + eta pointwise on [V < inf] (V may
+    be +inf, and a row feeding an infinite atom violates by inf); finite
     M = max over [V <= r] of the comparison constant against z0 for the
     base kernel. These yield the composite drift
     mixture(V) <= (b*gamma + (1-a)*l)*V + (b*c + (1-a)*eta), verified as
@@ -348,58 +352,48 @@ def certify_perturbation(P: Kernel, V, gamma: float, c: float,
             notes="mixing threshold violated",
         )
 
-    tol = 1e-12 * max(1.0, float(np.abs(v).max()), c, eta)
-    pv = P.rows @ v
-    gaps_p = pv - (gamma * v + c)
-    i_p = int(np.argmax(gaps_p))
-    if gaps_p[i_p] > tol:
+    _, witness = _pointwise_drift(P, v, gamma * v + c, [c, eta])
+    if witness is not None:
         return Certificate(
             condition="perturbation",
             verdict=FAILS,
             constants=constants,
-            witness={"state": P.space.labels[i_p],
-                     "violation": float(gaps_p[i_p]),
-                     "failed": "base-drift"},
+            witness={**witness, "failed": "base-drift"},
             notes="base kernel misses the claimed drift",
         )
     Q = spec.Q if spec.Q is not None else identity(P.space)
-    qv = Q.rows @ v
-    gaps_q = qv - (l * v + eta)
-    i_q = int(np.argmax(gaps_q))
-    if gaps_q[i_q] > tol:
+    # l may be zero; V is zeroed off [V < inf], where rhs is never read
+    _, witness = _pointwise_drift(
+        Q, v, l * np.where(np.isfinite(v), v, 0.0) + eta, [c, eta])
+    if witness is not None:
         return Certificate(
             condition="perturbation",
             verdict=FAILS,
             constants=constants,
-            witness={"state": P.space.labels[i_q],
-                     "violation": float(gaps_q[i_q]),
-                     "failed": "companion-drift"},
+            witness={**witness, "failed": "companion-drift"},
             notes="companion kernel misses the linear domination",
         )
 
     window = StateSet.from_mask(P.space, v <= r)
-    m_big = -np.inf if window.members else 1.0
-    for i in window.members:
-        hc = harnack_constant(P, z, int(i), p)
-        if not hc.finite:
-            constants["M"] = float("inf")
-            return Certificate(
-                condition="perturbation",
-                verdict=FAILS,
-                constants=constants,
-                witness={"state": P.space.labels[int(i)], "M": float("inf")},
-                notes="window row escapes the reference support",
-            )
-        m_big = max(m_big, hc.M)
+    m_big, bad_state = _window_max(P, z, window.members, p)
     constants["M"] = m_big
+    if bad_state is not None:
+        return Certificate(
+            condition="perturbation",
+            verdict=FAILS,
+            constants=constants,
+            witness={"state": P.space.labels[bad_state], "M": float("inf")},
+            notes="window row escapes the reference support",
+        )
 
     mixed = perturb(P, spec)
     coeff = b * gamma + (1.0 - a) * l
     additive = b * c + (1.0 - a) * eta
     constants["composite_coeff"] = coeff
     constants["composite_additive"] = additive
-    comp_gap = float(np.max(mixed.rows @ v - (coeff * v + additive)))
-    if comp_gap > tol:
+    comp_gap, witness = _pointwise_drift(mixed, v, coeff * v + additive,
+                                         [c, eta])
+    if witness is not None:
         raise ArithmeticError(
             f"composite drift violated by {comp_gap:.3e} despite the "
             "hypotheses; the mixing bounds are inconsistent")

@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ergocert import convergence
-from ergocert.core import Kernel, Measure, StateSpace
+from ergocert.core import Kernel, Measure, StateFn, StateSpace
+from ergocert.scenarios import birth_death
 from ergocert.semigroup import last_row, mean_rows
 from ergocert.convergence import (
     cesaro_limit_check,
@@ -55,6 +56,20 @@ class TestWeightedGapNorm:
     def test_reference_must_be_probability(self):
         with pytest.raises(ValueError, match="probability"):
             weighted_gap_norm(TWO_STATE, Measure(S2, [0.6, 0.3]), V0, 1)
+
+
+@pytest.mark.parametrize("norm", [
+    lambda P, m, V: weighted_gap_norm(P, m, V, 4),
+    lambda P, m, V: weighted_step_norm(P, V, 4),
+    decay_report,
+], ids=["gap", "step", "decay"])
+def test_infinite_lyapunov_rejected(norm):
+    # an infinite weight turns every norm into inf/inf
+    bd = birth_death(6, 0.7)
+    v = bd.V.values.copy()
+    v[5] = np.inf
+    with pytest.raises(ValueError, match="V must be finite"):
+        norm(bd.kernel, bd.m, StateFn(bd.kernel.space, v, extended=True))
 
 
 class TestDecayReport:

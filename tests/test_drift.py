@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ergocert.core import Kernel, Measure, StateSpace
+from ergocert.core import Kernel, Measure, StateFn, StateSpace
 from ergocert.certificates.phi import AlmostInvarianceParams, PhiLinear
 from ergocert.certificates.drift import (
     _suffix_optimal,
@@ -67,6 +67,30 @@ def advance_row(P, i, n, mean):
         acc += row
         row = row @ P.rows
     return acc / n if mean else row
+
+
+S4 = StateSpace.range(4)
+# path kernel: s2 is the only finite-V state that feeds s3
+P4 = Kernel(S4, [[0.5, 0.5, 0.0, 0.0],
+                 [0.5, 0.0, 0.5, 0.0],
+                 [0.0, 0.5, 0.0, 0.5],
+                 [0.0, 0.0, 0.5, 0.5]])
+V_INF = np.array([0.0, 1.0, 2.0, np.inf])
+
+
+@pytest.mark.parametrize("check, shift", [
+    (lambda V: check_geometric_drift(P4, V, 0.5, 1.0, 3.0), 0.0),
+    # localized drift needs V >= 1
+    (lambda V: check_localized_drift(P4, V, 0.5, 1.0, [0]), 1.0),
+    (lambda V: check_additive_drift(P4, V, 1.0, [0]), 0.0),
+    (lambda V: check_generalized_drift(P4, V, [1.0] * 4, [0]), 0.0),
+], ids=["geometric", "localized", "additive", "generalized"])
+def test_row_feeding_infinite_atom_violates(check, shift):
+    cert = check(StateFn(S4, V_INF + shift, extended=True))
+    assert not cert.holds
+    # the infinite-V state itself is never the witness
+    assert cert.witness == {"state": "s2", "violation": np.inf}
+    assert cert.constants["max_violation"] == np.inf
 
 
 class TestSmallness:

@@ -1,5 +1,7 @@
 """Row comparison constants, the drift pipeline, and lazy perturbations."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -24,6 +26,13 @@ DOEBLIN = Kernel(S2, [[0.5, 0.5], [0.25, 0.75]])
 TWO_STATE = Kernel(S2, [[0.9, 0.1], [0.2, 0.8]])
 FLAT = Kernel(S2, [[0.5, 0.5], [0.5, 0.5]])
 V01 = [0.0, 1.0]
+S4 = StateSpace.range(4)
+# path kernel: s2 is the only finite-V state that feeds s3
+P4 = Kernel(S4, [[0.5, 0.5, 0.0, 0.0],
+                 [0.5, 0.0, 0.5, 0.0],
+                 [0.0, 0.5, 0.0, 0.5],
+                 [0.0, 0.0, 0.5, 0.5]])
+V_INF = StateFn(S4, [0.0, 1.0, 2.0, np.inf], extended=True)
 
 
 def numeric_row_ratio_max(rx, ry, p):
@@ -211,6 +220,43 @@ class TestCertifyPerturbation:
         with pytest.raises(ValueError, match="strictly below one"):
             certify_perturbation(FLAT, V01, 0.3, 0.5, spec,
                                  1.0, 0.0, 0, 2.0, 1.0)
+
+
+class TestInfiniteLyapunov:
+    """V = +inf on a truncation boundary, read as the drift module does."""
+
+    def setup_method(self):
+        self.half = PerturbationSpec(StateFn(S4, [0.5] * 4))
+
+    def test_perturbation_base_drift_fails_on_infinite_image(self):
+        # PV = inf at every finite state; the gap must not vanish into
+        # an infinite tolerance
+        uniform = Kernel(S4, np.full((4, 4), 0.25))
+        cert = certify_perturbation(uniform, V_INF, 0.1, 0.0, self.half,
+                                    0.0, 0.0, 0, 2.0, 1.0)
+        assert not cert.holds
+        assert cert.witness == {"state": "s0", "violation": np.inf,
+                                "failed": "base-drift"}
+
+    def test_harnack_drift_names_the_state_feeding_the_atom(self):
+        cert = check_harnack_drift(P4, V_INF, 0.9, 1.0, [0, 1], 0, 2.0)
+        assert not cert.holds
+        assert cert.witness == {"state": "s2", "violation": np.inf}
+        assert cert.constants["drift_gap"] == np.inf
+
+    def test_pipeline_witness_is_largest_finite_ratio(self):
+        cert = certify_harnack_pipeline(P4, V_INF, [0, 1])
+        assert cert.verdict == "inconclusive"
+        assert cert.witness == {"state": "s1", "ratio": 1.0}
+
+    def test_companion_with_zero_slope_skips_the_atom(self):
+        rows = [[0.5, 0.5, 0.0, 0.0]] * 3 + [[0.0, 0.0, 0.0, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cert = certify_perturbation(Kernel(S4, rows), V_INF, 0.5, 0.5,
+                                        self.half, 0.0, 2.0, 0, 2.0, 1.0)
+        assert cert.holds
+        assert cert.constants["M"] == 1.0
 
 
 class TestDiagnoseLazyAtoms:

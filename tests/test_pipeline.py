@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from ergocert import pipeline, solver
 from ergocert.certificates import almost, averages
-from ergocert.core import Kernel, Measure, StateSpace
+from ergocert.core import Kernel, Measure, StateFn, StateSpace
 from ergocert.pipeline import (
     DEFAULT_STEPS,
     Report,
@@ -16,7 +16,7 @@ from ergocert.pipeline import (
     run_pipeline,
 )
 from ergocert import io
-from ergocert.scenarios import generate
+from ergocert.scenarios import birth_death, generate
 
 S2 = StateSpace.range(2)
 ABSORBING_PAIR = Kernel(S2, [[0.0, 1.0], [0.0, 1.0]])
@@ -297,3 +297,25 @@ class TestEmission:
         assert rep.errors == []
         assert rep.profiles["reference"] == "supplied directly"
         assert (tmp_path / "report.json").exists()
+
+    def test_infinite_lyapunov_from_file(self, tmp_path):
+        bd = birth_death(8, 0.7)
+        v = bd.V.values.copy()
+        v[7] = np.inf
+        io.save_document(io.kernel_to_doc(bd.kernel), tmp_path / "kernel.json")
+        io.save_document(
+            io.statefn_to_doc(StateFn(bd.kernel.space, v, extended=True)),
+            tmp_path / "lyapunov.json")
+        config = {"type": "pipeline-config",
+                  "inputs": {"kernel": "kernel.json",
+                             "lyapunov": "lyapunov.json"},
+                  "steps": ["invariant", "convergence", "harnack"],
+                  "out": "report.json"}
+        run_pipeline(config, base_dir=tmp_path)
+        doc = io.load_document(tmp_path / "report.json", expect="report")
+        assert doc["errors"] == ["convergence: V must be finite"]
+        assert "decay" not in doc["profiles"]
+        [harnack] = [c for c in doc["certificates"]
+                     if c["condition"] == "harnack-pipeline"]
+        # s6 feeds the infinite atom s7
+        assert harnack["witness"] == {"state": "s6", "violation": "inf"}
