@@ -15,9 +15,8 @@ from .semigroup import (Generator, Semigroup, auxiliary_measure,
                         discrete_resolvent, kb_measure, occupation_density,
                         resolvent, resolvent_raw, transition_at, uniformized)
 from .solver import (ErgodicDecomposition, InvariantResult,
-                     averaging_projector, cesaro_projector, decompose,
-                     solve_cesaro_adjoint, solve_continuous, solve_eigen,
-                     verify_count_bound)
+                     averaging_projector, decompose, solve_cesaro_adjoint,
+                     solve_continuous, solve_eigen, verify_count_bound)
 from .certificates import (FAILS, HOLDS, INCONCLUSIVE,
                            AlmostInvarianceParams, Certificate, IndexProfile,
                            PhiLinear, PhiPower, PhiTable,
@@ -48,8 +47,8 @@ __all__ = [
     "resolvent_raw", "discrete_resolvent", "auxiliary_measure",
     "occupation_density", "kb_measure",
     "InvariantResult", "ErgodicDecomposition", "decompose",
-    "cesaro_projector", "averaging_projector", "solve_eigen",
-    "solve_cesaro_adjoint", "solve_continuous", "verify_count_bound",
+    "averaging_projector", "solve_eigen", "solve_cesaro_adjoint",
+    "solve_continuous", "verify_count_bound",
     "Certificate", "IndexProfile", "HOLDS", "FAILS", "INCONCLUSIVE",
     "PhiLinear", "PhiPower", "PhiTable", "AlmostInvarianceParams",
     "worst_set_search", "check_smallness", "fit_drift_constants",

@@ -55,7 +55,12 @@ __all__ = [
 # relative margin below the threshold that an index estimate must clear
 _INDEX_MARGIN = 1e-9
 
-_DEFAULT_ALPHAS = (2.0, 1.0, 0.5, 0.25, 0.125)
+# the alpha grid of the resolvent-side checks, largest first
+_ALPHAS = (2.0, 1.0, 0.5, 0.25, 0.125)
+
+# relative step and iteration cap of the L^p norm power iteration
+_NORM_TOL = 1e-12
+_NORM_MAXIT = 2000
 
 
 def _labels(space, idx):
@@ -149,6 +154,23 @@ def _excess_and_set(row: np.ndarray, m: Measure, phi):
     return found.value, found.members
 
 
+def _worst_row(rows, m: Measure, phi):
+    """(value, tag, members) of the first (tag, row) pair whose worst set
+    has the largest excess over phi."""
+    worst = (-np.inf, None, ())
+    for tag, row in rows:
+        val, members = _excess_and_set(row, m, phi)
+        if val > worst[0]:
+            worst = (val, tag, members)
+    return worst
+
+
+def _mass_sup(rows, mask):
+    """(tag, mass) of the first (tag, row) pair putting most mass on mask."""
+    return max(((tag, float(row[mask].sum())) for tag, row in rows),
+               key=lambda kv: kv[1])
+
+
 def check_absolute_continuity(S, m: Measure) -> Certificate:
     """Null sets of m stay null after one step of the dynamics.
 
@@ -195,13 +217,7 @@ def optimal_linear_params(S, m: Measure, horizon: int = 256,
     w = m.weights
     pos = w[w > 0.0]
     c_star = m.mass / float(pos.min())
-    null = w <= 0.0
-    sup = 0.0
-    arg = None
-    for tag, row in _evidence(S, m, horizon).rows(mode):
-        val = float(row[null].sum()) if null.any() else 0.0
-        if val > sup or arg is None:
-            sup, arg = val, tag
+    arg, sup = _mass_sup(_evidence(S, m, horizon).rows(mode), w <= 0.0)
     return {"c": c_star, "delta": sup / m.mass, "null_flow_sup": sup,
             "worst_horizon": arg}
 
@@ -210,15 +226,9 @@ def _invariance_verdict(S, m, params, mode, condition):
     _require_positive_mass(m)
     ev = _evidence(S, m, params.horizon)
     S = ev.system
-    worst = -np.inf
-    tag = None
-    members = ()
-    mass_floor = np.inf
-    for t, row in ev.rows(mode, n0=params.n0):
-        mass_floor = min(mass_floor, float(row.sum()))
-        val, found = _excess_and_set(row, m, params.phi)
-        if val > worst:
-            worst, tag, members = val, t, found
+    rows = ev.rows(mode, n0=params.n0)
+    worst, tag, members = _worst_row(rows, m, params.phi)
+    mass_floor = min(float(row.sum()) for _, row in rows)
     delta_min = worst / m.mass
     tol = 1e-12 * max(1.0, params.delta)
     ok = delta_min <= params.delta + tol
@@ -393,40 +403,23 @@ def profile_certificate(profile: IndexProfile) -> Certificate:
 
 
 def check_resolvent_almost_invariant(S: Generator, m: Measure,
-                                     params: AlmostInvarianceParams,
-                                     alphas=None) -> Certificate:
+                                     params: AlmostInvarianceParams) -> Certificate:
     """Resolvent kernels of the flow stay below phi(set mass) + delta * m(E).
 
-    Sweeps the markovian resolvent rows over a decreasing alpha grid; the
-    limiting averages stand in for alpha -> 0. Also reports the exact
-    small-cap index of the resolvent family (the sup over the grid of the
-    mass landing on m-null atoms).
+    Sweeps the markovian resolvent rows over the alpha grid _ALPHAS =
+    (2, 1, 1/2, 1/4, 1/8); the limiting averages stand in for alpha -> 0.
+    Also reports the exact small-cap index of the resolvent family (the
+    sup over the grid of the mass landing on m-null atoms).
     """
     if not isinstance(S, Generator):
         raise ValueError("resolvent-side checks are continuous-time; "
                          "use check_almost_invariant for kernels")
     _require_positive_mass(m)
-    if alphas is None:
-        alphas = _DEFAULT_ALPHAS
-    alphas = [float(a) for a in alphas]
-    if any(a <= 0.0 for a in alphas) or any(b >= a for a, b in
-                                            zip(alphas, alphas[1:])):
-        raise ValueError("alphas must be positive and strictly decreasing")
-
-    rows = [(a, a * auxiliary_measure(S, m, a).weights) for a in alphas]
+    rows = [(a, a * auxiliary_measure(S, m, a).weights) for a in _ALPHAS]
     rows.append((LIMIT, np.clip(limit_row(S, m), 0.0, None)))
 
-    null = m.weights <= 0.0
-    worst = -np.inf
-    worst_tag = None
-    worst_members = ()
-    res_index = 0.0
-    for tag, row in rows:
-        val, members = _excess_and_set(row, m, params.phi)
-        if val > worst:
-            worst, worst_tag, worst_members = val, tag, members
-        if null.any():
-            res_index = max(res_index, float(row[null].sum()))
+    worst, worst_tag, worst_members = _worst_row(rows, m, params.phi)
+    _, res_index = _mass_sup(rows, m.weights <= 0.0)
     delta_min = worst / m.mass
     tol = 1e-12 * max(1.0, params.delta)
     ok = delta_min <= params.delta + tol
@@ -442,7 +435,7 @@ def check_resolvent_almost_invariant(S: Generator, m: Measure,
             "delta_min": delta_min,
             "delta": params.delta,
             "mass": m.mass,
-            "alphas": list(alphas),
+            "alphas": list(_ALPHAS),
             "resolvent_index": res_index,
             "phi": params.phi.describe(),
             "support_stable": support.holds,
@@ -452,15 +445,15 @@ def check_resolvent_almost_invariant(S: Generator, m: Measure,
     )
 
 
-def check_seed_index(S: Generator, mu: Measure, alpha: float,
-                     t_grid=None, eps_grid=None) -> Certificate:
+def check_seed_index(S: Generator, mu: Measure, alpha: float) -> Certificate:
     """Small sets of the smoothed seed carry little of the seed's averages.
 
-    Evaluates c = sup over the time grid (and the limit) of the averaged
-    seed mass landing on null atoms of m = mu composed with the raw
-    resolvent at alpha; this is the exact small-cap limit on finite
-    spaces. Holds iff c < alpha strictly; a passing verdict also runs the
-    index profile on m and attaches it, since the bound
+    Evaluates c = sup over the doubling time grid 1, 2, 4, ..., 256 (and
+    the limit) of the averaged seed mass landing on null atoms of m = mu
+    composed with the raw resolvent at alpha, read off the evidence of
+    (mu, 256); this is the exact small-cap limit on finite spaces. Holds
+    iff c < alpha strictly; a passing verdict also runs the index
+    profile on m and attaches it, since the bound
     c/alpha + 1/(alpha^2 t0') pushes the index below m(E) = 1/alpha for
     large enough horizon shifts.
     """
@@ -473,26 +466,13 @@ def check_seed_index(S: Generator, mu: Measure, alpha: float,
         raise ValueError("alpha must be positive")
 
     m_ref = auxiliary_measure(S, mu, alpha)
-    if t_grid is None:
-        t_grid = [float(t) for t in geometric_horizons(256)]
-    rows = continuous_mean_rows(S, mu, t_grid)
-    rows.append((LIMIT, np.clip(limit_row(S, mu), 0.0, None)))
-
-    null = m_ref.weights <= 0.0
-    c_tilde = 0.0
-    worst_tag = None
-    for tag, row in rows:
-        val = float(row[null].sum()) if null.any() else 0.0
-        if val > c_tilde or worst_tag is None:
-            c_tilde, worst_tag = val, tag
+    rows = Evidence(S, mu, 256).rows("mean")
+    worst_tag, c_tilde = _mass_sup(rows, m_ref.weights <= 0.0)
 
     # small-cap profile of the same averages against m_ref, for reporting
-    if eps_grid is None:
-        eps_grid = _default_eps_grid(m_ref)
-    profile = []
-    for e in eps_grid:
-        profile.append(max(fractional_knapsack(row, m_ref.weights, e)
-                           for _, row in rows))
+    eps_grid = _default_eps_grid(m_ref)
+    profile = [max(fractional_knapsack(row, m_ref.weights, e)
+                   for _, row in rows) for e in eps_grid]
 
     ok = c_tilde < alpha - 1e-9 * max(1.0, alpha)
     shift_floor = (1.0 / (alpha ** 2 * (1.0 - c_tilde))
@@ -503,7 +483,7 @@ def check_seed_index(S: Generator, mu: Measure, alpha: float,
         "ref_mass": m_ref.mass,
         "worst_horizon": worst_tag,
         "shift_floor": shift_floor,
-        "cap_profile": {"eps": list(eps_grid), "value": profile},
+        "cap_profile": {"eps": eps_grid, "value": profile},
     }
     attached = ()
     verdict = HOLDS if ok else FAILS
@@ -628,31 +608,28 @@ def check_partial_subinvariance(K: Kernel, m: Measure,
     )
 
 
-def check_occupation_half(S, nu: Measure, target: StateSet, t_grid=None,
+def check_occupation_half(S, nu: Measure, target: StateSet,
                           alpha: float = 1.0, horizon: int = 256) -> Certificate:
     """Averaged occupation of the target set exceeds one half somewhere.
 
-    Sweeps the running averages of the start law over the grid plus the
-    exact limit. When the limiting occupation L itself clears one half,
-    the conclusion measure m = (limit restricted to target) composed with
-    the resolvent is almost invariant with coefficient one and leakage
-    1/(2 m(E)), attached after verification. If only finite horizons
-    clear the bar, the attached conclusion falls back to support-based
-    constants, which need no occupation hypothesis at all.
+    Sweeps the running averages of the start law over the doubling grid
+    1, 2, 4, ..., 64 plus the exact limit. When the limiting occupation L
+    itself clears one half, the conclusion measure m = (limit restricted
+    to target) composed with the resolvent is almost invariant with
+    coefficient one and leakage 1/(2 m(E)), attached after verification.
+    If only finite horizons clear the bar, the attached conclusion falls
+    back to support-based constants, which need no occupation hypothesis
+    at all.
     """
     if abs(nu.mass - 1.0) > 1e-9:
         raise ValueError("start measure must be a probability")
     mask = target.mask
     discrete = isinstance(S, Kernel)
-    if t_grid is None:
-        t_grid = geometric_horizons(64)
+    grid = geometric_horizons(64)
     if discrete:
-        if any(t != int(t) or t < 1 for t in t_grid):
-            raise ValueError("discrete averages need integer t >= 1")
-        grid = {int(t) for t in t_grid}
-        pairs = [(n, v) for n, v in mean_rows(S, nu, max(grid)) if n in grid]
+        pairs = [(n, v) for n, v in mean_rows(S, nu, grid[-1]) if n in grid]
     else:
-        pairs = continuous_mean_rows(S, nu, [float(t) for t in t_grid])
+        pairs = continuous_mean_rows(S, nu, [float(t) for t in grid])
     lim = np.clip(limit_row(S, nu), 0.0, None)
     occ = [(tag, float(row[mask].sum())) for tag, row in pairs]
     occ_limit = float(lim[mask].sum())
@@ -706,13 +683,14 @@ def check_occupation_half(S, nu: Measure, target: StateSet, t_grid=None,
     )
 
 
-def lp_operator_norm(K: Kernel, m: Measure, p: float, tol: float = 1e-12,
-                     maxit: int = 2000):
+def lp_operator_norm(K: Kernel, m: Measure, p: float):
     """Operator norm of K on L^p(m), m fully supported.
 
     p = 1 and p = inf have closed forms; in between, a nonlinear power
     iteration on the norm ratio climbs to the norm of the nonnegative
-    operator. Returns (value, converged, iterations).
+    operator, and settles once a step moves the ratio by at most
+    _NORM_TOL relative, within _NORM_MAXIT steps. Returns (value,
+    converged, iterations).
     """
     w = m.weights
     if (w <= 0.0).any():
@@ -730,7 +708,7 @@ def lp_operator_norm(K: Kernel, m: Measure, p: float, tol: float = 1e-12,
     f = np.ones(K.size) / m.mass ** (1.0 / p)
     prev = -np.inf
     val = 0.0
-    for it in range(1, int(maxit) + 1):
+    for it in range(1, _NORM_MAXIT + 1):
         g = rows @ f
         val = float((w @ g ** p) ** (1.0 / p))
         h = adj @ (g ** pm1)
@@ -739,18 +717,19 @@ def lp_operator_norm(K: Kernel, m: Measure, p: float, tol: float = 1e-12,
         if nf <= 0.0:
             return 0.0, True, it
         f = f / nf
-        if abs(val - prev) <= tol * max(1.0, abs(val)):
+        if abs(val - prev) <= _NORM_TOL * max(1.0, abs(val)):
             return val, True, it
         prev = val
-    return val, False, int(maxit)
+    return val, False, _NORM_MAXIT
 
 
 def check_uniform_lp_bound(S: Generator, m: Measure, p: float,
-                           alphas=None, bound: float | None = None,
+                           bound: float | None = None,
                            horizon: int = 256) -> Certificate:
     """Resolvent kernels are uniformly bounded on L^p(m) over the grid.
 
-    Computes the operator norm per alpha and reports the sup M. With a
+    Computes the operator norm per alpha of the grid _ALPHAS = (2, 1,
+    1/2, 1/4, 1/8), and of the limiting averages, and reports the sup M. With a
     caller-supplied bound the verdict compares M against it; otherwise
     the computed M is the certified constant. For finite p a passing
     verdict attaches the resolvent almost-invariance conclusion with the
@@ -761,16 +740,13 @@ def check_uniform_lp_bound(S: Generator, m: Measure, p: float,
         raise ValueError("uniform resolvent bounds are continuous-time")
     if (m.weights <= 0.0).any():
         raise ValueError("this check needs a fully supported measure")
-    if alphas is None:
-        alphas = _DEFAULT_ALPHAS
-    alphas = [float(a) for a in alphas]
 
     # the limiting averages stand in for the vanishing-alpha end of the
     # grid; without them M can understate the sup that the attached
     # modulus conclusion is scored against
     lim_kernel = Kernel(S.space, averaging_projector(uniformized(S)),
                         kind="markovian", on_rowsum="renormalize")
-    probes = [(str(a), resolvent(S, a)) for a in alphas]
+    probes = [(str(a), resolvent(S, a)) for a in _ALPHAS]
     probes.append((LIMIT, lim_kernel))
 
     norms = {}
@@ -800,7 +776,7 @@ def check_uniform_lp_bound(S: Generator, m: Measure, p: float,
         else:
             phi = PhiPower(coef=m.mass ** ((p - 1.0) / p) * M, mult=1.0, p=p)
         derived = check_resolvent_almost_invariant(
-            S, m, AlmostInvarianceParams(phi, 0.0, horizon=horizon), alphas)
+            S, m, AlmostInvarianceParams(phi, 0.0, horizon=horizon))
         attached = (derived,)
         notes += "; norm bound converted to a modulus conclusion"
     elif ok:

@@ -33,6 +33,7 @@ __all__ = [
 DEFAULT_GRID = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 INVARIANCE_TOL = 1e-10
 R2_THRESHOLD = 0.95
+ENVELOPE_SLACK = 0.1
 
 
 def _check_invariant(P: Kernel, m: Measure) -> np.ndarray:
@@ -96,14 +97,14 @@ class DecayReport:
     note: str = ""
 
 
-def decay_report(P: Kernel, m: Measure, V, n_grid=DEFAULT_GRID,
-                 slack: float = 0.1) -> DecayReport:
+def decay_report(P: Kernel, m: Measure, V, n_grid=DEFAULT_GRID) -> DecayReport:
     """Fit norms(n) ~ C * gamma^n in the log domain over n_grid.
 
     Zero or floor-level norms mean the chain already converged there;
     those horizons are truncated from the fit (they would otherwise
     flatten the slope) but kept in the report. envelope_ok states
-    norms(n) <= C * gamma^n * (1 + slack) across the fitted range.
+    norms(n) <= 1.1 * C * gamma^n, the factor being 1 + ENVELOPE_SLACK,
+    across the fitted range.
 
     A horizon twice the preceding one, when that is a power of two, squares
     its power, which is how power(P, n) builds it; any other calls power.
@@ -152,7 +153,7 @@ def decay_report(P: Kernel, m: Measure, V, n_grid=DEFAULT_GRID,
     r2 = 1.0 if ss_res <= 1e-20 else (1.0 - ss_res / ss_tot
                                       if ss_tot > 0.0 else 0.0)
     geometric = bool(gamma < 1.0 - 1e-9 and r2 >= R2_THRESHOLD)
-    envelope = bool(all(b <= C * gamma ** n * (1.0 + slack)
+    envelope = bool(all(b <= C * gamma ** n * (1.0 + ENVELOPE_SLACK)
                         for n, b in zip(fit_ns, fit_bs)))
     note = "" if geometric else "no geometric decay at this grid"
     return DecayReport(ns, norms, gamma, C, r2, geometric, envelope,

@@ -45,6 +45,9 @@ __all__ = [
     "diagnose_lazy_atoms",
 ]
 
+# horizons 1..LAZY_N_MAX of the n-step return that diagnose_lazy_atoms reads
+LAZY_N_MAX = 64
+
 
 @dataclass(frozen=True)
 class HarnackConstant:
@@ -424,7 +427,7 @@ def certify_perturbation(P: Kernel, V, gamma: float, c: float,
 
 
 def diagnose_lazy_atoms(P: Kernel, spec: PerturbationSpec, C=None,
-                        V=None, r=None, n_max: int = 64) -> dict:
+                        V=None, r=None) -> dict:
     """Why the lazy mixture resists drift-plus-smallness: an atom report.
 
     Requires Q to be the identity. Laziness pins mass on single states:
@@ -436,7 +439,8 @@ def diagnose_lazy_atoms(P: Kernel, spec: PerturbationSpec, C=None,
     spaces always carry atoms (some P(x, {y}) >= 1/size), so the
     vanishing-column hypothesis cannot hold everywhere and the report is
     labelled illustrative; it sharpens on finer grids as the largest
-    single-state mass shrinks.
+    single-state mass shrinks. The returns are checked at every horizon
+    up to LAZY_N_MAX = 64.
 
     The window C may be given directly or as a sub-level set [V <= r].
     """
@@ -458,7 +462,7 @@ def diagnose_lazy_atoms(P: Kernel, spec: PerturbationSpec, C=None,
     exact_cols = np.flatnonzero(~(P.rows > 0.0).any(axis=0))
     exact_gap = 0.0
     pow_rows = mixed.rows.copy()
-    for n in range(1, n_max + 1):
+    for n in range(1, LAZY_N_MAX + 1):
         diag = np.diagonal(pow_rows)
         lower = lazy ** n
         shortfall = min(shortfall, float((diag - lower).min()))
@@ -466,7 +470,7 @@ def diagnose_lazy_atoms(P: Kernel, spec: PerturbationSpec, C=None,
             exact_gap = max(exact_gap,
                             float(np.abs(diag[exact_cols]
                                          - lower[exact_cols]).max()))
-        if n < n_max:
+        if n < LAZY_N_MAX:
             pow_rows = pow_rows @ mixed.rows
     loopless = np.flatnonzero(np.diagonal(P.rows) == 0.0)
     one_step = float(np.abs(np.diagonal(mixed.rows)[loopless]
@@ -489,7 +493,7 @@ def diagnose_lazy_atoms(P: Kernel, spec: PerturbationSpec, C=None,
             floor_ok = False
 
     return {
-        "n_max": int(n_max),
+        "n_max": LAZY_N_MAX,
         "lower_bound_ok": shortfall >= -1e-12,
         "max_shortfall": shortfall,
         "exact_column_states": [P.space.labels[int(i)] for i in exact_cols],

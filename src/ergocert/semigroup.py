@@ -250,7 +250,9 @@ def auxiliary_measure(S: Semigroup, mu: Measure, alpha: float = 1.0) -> Measure:
     by 1/alpha). Either way mu goes through one transposed solve,
     (I - K/2)^T x = mu/2 or (alpha I - Q)^T x = mu, and Measure rejects
     a negative x. The result respects its own null sets one step further,
-    through K or alpha R_alpha, which is asserted before returning.
+    through K or Q, which is asserted before returning: a null atom stays
+    null under alpha R_alpha exactly when no rate leads into it from the
+    support.
     """
     _check_same_space(mu, S)
     if isinstance(S, Kernel):
@@ -260,7 +262,7 @@ def auxiliary_measure(S: Semigroup, mu: Measure, alpha: float = 1.0) -> Measure:
     else:
         A, _ = _generator_solve(S, alpha, np.ones((S.size, 1)))
         m = Measure(S.space, np.linalg.solve(A.T, mu.weights))
-        flow = np.linalg.solve(A.T, alpha * m.weights)
+        flow = m.weights @ S.rates
     leak = float(flow[m.weights <= 0.0].sum())
     if leak > 1e-15 * max(1.0, m.mass):
         raise AssertionError(
@@ -269,24 +271,15 @@ def auxiliary_measure(S: Semigroup, mu: Measure, alpha: float = 1.0) -> Measure:
     return m
 
 
-def _even_steps(t: float, quad_steps: int | None) -> int:
-    if quad_steps is None:
-        quad_steps = max(2, int(np.ceil(SIMPSON_STEPS_PER_UNIT * t)))
-    quad_steps = int(quad_steps)
-    if quad_steps < 2:
-        raise ValueError("Simpson quadrature needs at least 2 subintervals")
-    if quad_steps % 2:
-        quad_steps += 1
-    return quad_steps
-
-
-def _simpson_pushes(G: Generator, start: np.ndarray, t: float,
-                    quad_steps: int | None) -> np.ndarray:
+def _simpson_pushes(G: Generator, start: np.ndarray, t: float) -> np.ndarray:
     """integral_0^t (start . P_s) ds by composite Simpson on a uniform grid.
 
-    The grid values are exact semigroup points: P_{jh} = (P_h)^j.
+    The grid has SIMPSON_STEPS_PER_UNIT steps per unit time, at least 2
+    and rounded up to an even count. Its values are exact semigroup
+    points: P_{jh} = (P_h)^j.
     """
-    q = _even_steps(t, quad_steps)
+    q = max(2, int(np.ceil(SIMPSON_STEPS_PER_UNIT * t)))
+    q += q % 2
     h = t / q
     step = transition_at(G, h).rows
     weights = np.ones(q + 1)
@@ -301,8 +294,7 @@ def _simpson_pushes(G: Generator, start: np.ndarray, t: float,
     return acc
 
 
-def occupation_density(S: Semigroup, m: Measure, t: float,
-                       quad_steps: int | None = None) -> StateFn:
+def occupation_density(S: Semigroup, m: Measure, t: float) -> StateFn:
     """Density of the expected occupation up to time t, relative to m.
 
     Computes integral_0^t d(m P_s)/dm ds on the support of m; atoms
@@ -314,14 +306,14 @@ def occupation_density(S: Semigroup, m: Measure, t: float,
     _check_same_space(m, S)
     if t <= 0:
         raise ValueError("t must be positive")
-    integ = _simpson_pushes(S, m.weights, t, quad_steps)
+    integ = _simpson_pushes(S, m.weights, t)
     out = np.zeros(S.size)
     supp = m.weights > 0.0
     out[supp] = integ[supp] / m.weights[supp]
     return StateFn(S.space, out)
 
 
-def kb_measure(S: Semigroup, mu: Measure, t, quad_steps: int | None = None) -> Measure:
+def kb_measure(S: Semigroup, mu: Measure, t) -> Measure:
     """Time-averaged push of a start distribution.
 
     Continuous: (1/t) integral_0^t mu P_s ds by Simpson quadrature.
@@ -335,5 +327,5 @@ def kb_measure(S: Semigroup, mu: Measure, t, quad_steps: int | None = None) -> M
         return Measure(S.space, last_row(mean_rows(S, mu, n, n0=n)))
     if t <= 0:
         raise ValueError("t must be positive")
-    integ = _simpson_pushes(S, mu.weights, float(t), quad_steps)
+    integ = _simpson_pushes(S, mu.weights, float(t))
     return Measure(S.space, integ / float(t))

@@ -21,7 +21,6 @@ __all__ = [
     "InvariantResult",
     "ErgodicDecomposition",
     "decompose",
-    "cesaro_projector",
     "averaging_projector",
     "solve_eigen",
     "solve_cesaro_adjoint",
@@ -167,7 +166,9 @@ def _conserved_classes(K: Kernel):
     row, the (n_states, n_classes) probabilities of ending up in each
     class, from the first-step linear system, and the indices of all
     other states. Mass of a sub-markovian kernel that never reaches such
-    a class dies off, so its absorption rows sum to less than one.
+    a class dies off, so its absorption rows sum to less than one. Every
+    stationary row is checked against the kernel to EIGEN_RESIDUAL_TOL
+    in l1.
     """
     n = K.size
     labels, closed = _closed_components(K.rows > 0.0)
@@ -184,6 +185,11 @@ def _conserved_classes(K: Kernel):
         block[np.diag_indices(idx.size)] -= 1.0  # block - I, in place
         w = np.zeros(n)
         w[idx] = _stationary(block)
+        residual = np.abs(w @ K.rows - w).sum()
+        if residual > EIGEN_RESIDUAL_TOL:
+            raise ArithmeticError(
+                f"stationary solve residual {residual:.3e} exceeds "
+                f"{EIGEN_RESIDUAL_TOL}")
         classes.append(idx)
         rows.append(w)
     absorption = np.zeros((n, len(classes)))
@@ -225,12 +231,6 @@ def decompose(K: Kernel, verify: bool = True) -> ErgodicDecomposition:
     if not classes:
         raise AssertionError("a finite markovian kernel always has a "
                              "closed class")
-    for w in rows:
-        residual = np.abs(w @ K.rows - w).sum()
-        if residual > EIGEN_RESIDUAL_TOL:
-            raise ArithmeticError(
-                f"stationary solve residual {residual:.3e} exceeds "
-                f"{EIGEN_RESIDUAL_TOL}")
 
     decomp = ErgodicDecomposition(
         space=K.space,
@@ -256,10 +256,6 @@ def decompose(K: Kernel, verify: bool = True) -> ErgodicDecomposition:
     return decomp
 
 
-def cesaro_projector(K: Kernel) -> np.ndarray:
-    return decompose(K, verify=False).projector()
-
-
 def averaging_projector(K: Kernel) -> np.ndarray:
     """Limit of the running averages S_n, markovian or sub-markovian.
 
@@ -268,9 +264,7 @@ def averaging_projector(K: Kernel) -> np.ndarray:
     row sums exactly one) survive; mass that never reaches one dies off,
     so rows of the result may sum to less than one, possibly to zero.
     """
-    if K.kind == "markovian":
-        return cesaro_projector(K)
-    if K.kind != "sub-markovian":
+    if K.kind not in ("markovian", "sub-markovian"):
         raise ValueError("averaging limits need (sub-)markovian rows, "
                          f"got kind {K.kind!r}")
     _, rows, absorption, _ = _conserved_classes(K)
@@ -290,13 +284,14 @@ def solve_eigen(K: Kernel) -> tuple[InvariantResult, ...]:
     return tuple(out)
 
 
-def solve_cesaro_adjoint(K: Kernel, m: Measure, tol: float = CESARO_TOL,
-                         max_doublings: int = MAX_DOUBLINGS) -> InvariantResult:
+def solve_cesaro_adjoint(K: Kernel, m: Measure) -> InvariantResult:
     """Constructive invariant density via averaged adjoint iterates.
 
     Runs f_n = (1/n) sum_{k<n} (P*)^k 1 on doubling horizons n = 2^j,
-    with Richardson extrapolation 2 f_{2n} - f_n to absorb the O(1/n)
-    term. The limit rho is a sub-invariant density; nu = rho . m is
+    up to MAX_DOUBLINGS of them, with Richardson extrapolation
+    2 f_{2n} - f_n to absorb the O(1/n) term; the plain iterate settles
+    once its step falls to CESARO_TOL, the extrapolated one at a tenth
+    of that. The limit rho is a sub-invariant density; nu = rho . m is
     invariant. Mass that the dynamics push out of supp(m) dies in the
     averages, so the zero measure is a legitimate outcome and is
     reported with its decay diagnostics rather than an error.
@@ -318,25 +313,25 @@ def solve_cesaro_adjoint(K: Kernel, m: Measure, tol: float = CESARO_TOL,
     deltas = []
     masses = [l1m(f)]
     j = 0
-    for j in range(1, max_doublings + 1):
+    for j in range(1, MAX_DOUBLINGS + 1):
         f_next = 0.5 * (f + pow_rows @ f)
         delta = l1m(f_next - f) / mass_total
         deltas.append(delta)
         extr = 2.0 * f_next - f
         masses.append(l1m(f_next))
-        if delta <= tol:
+        if delta <= CESARO_TOL:
             f = f_next
             mode = "plain"
             break
         if prev_extr is not None:
             edelta = l1m(extr - prev_extr) / mass_total
-            if edelta <= 0.1 * tol:
+            if edelta <= 0.1 * CESARO_TOL:
                 f = np.clip(extr, 0.0, None)
                 mode = "extrapolated"
                 break
         prev_extr = extr
         f = f_next
-        if j < max_doublings:
+        if j < MAX_DOUBLINGS:
             pow_rows = pow_rows @ pow_rows
 
     converged = mode != "exhausted"
@@ -347,7 +342,8 @@ def solve_cesaro_adjoint(K: Kernel, m: Measure, tol: float = CESARO_TOL,
     if converged:
         # the two proof steps, numerically: sub-invariance of the density,
         # then mass conservation forcing equality
-        slack = max(100.0 * tol, 100.0 * (deltas[-1] if deltas else 0.0))
+        slack = max(100.0 * CESARO_TOL,
+                    100.0 * (deltas[-1] if deltas else 0.0))
         over = float(np.max((A @ rho - rho) / max(1.0, np.abs(rho).max())))
         if over > slack:
             raise ArithmeticError(

@@ -326,12 +326,6 @@ class TestResolventSide:
         with pytest.raises(ValueError, match="continuous-time"):
             check_resolvent_almost_invariant(TWO_STATE, M_UNIFORM, params)
 
-    def test_alpha_grid_must_decrease(self):
-        params = AlmostInvarianceParams(PhiLinear(2.0), 0.0)
-        with pytest.raises(ValueError, match="decreasing"):
-            check_resolvent_almost_invariant(SYM, M_UNIFORM, params,
-                                             alphas=[1.0, 2.0])
-
 
 class TestSeedIndex:
     def test_reachable_space_gives_zero_index(self):
@@ -412,15 +406,6 @@ class TestOccupationHalf:
             check_occupation_half(TWO_STATE, Measure(S2, [0.2, 0.2]),
                                   StateSet(S2, [0]))
 
-    def test_kernel_grid_needs_integer_steps(self):
-        for grid in ([1.5, 3], [0, 2], [2.7]):
-            with pytest.raises(ValueError, match="integer t >= 1"):
-                check_occupation_half(TWO_STATE, DELTA0, StateSet(S2, [1]),
-                                      t_grid=grid)
-        cert = check_occupation_half(TWO_STATE, DELTA0, StateSet(S2, [1]),
-                                     t_grid=[4.0, 2, 4])
-        assert list(cert.constants["grid"]) == ["2", "4", LIMIT]
-
 
 class TestOperatorNorms:
     def test_absorbing_pair_closed_forms(self):
@@ -464,6 +449,14 @@ class TestUniformLpBound:
         cert = check_uniform_lp_bound(SYM, M_UNIFORM, 2.0, bound=0.5)
         assert not cert.holds
         assert cert.witness["norm"] >= 0.5
+
+    def test_unsettled_norm_is_inconclusive(self, monkeypatch):
+        # the iteration cap is read when the norm is computed
+        monkeypatch.setattr(almost, "_NORM_MAXIT", 1)
+        cert = check_uniform_lp_bound(SYM, M_UNIFORM, 2.0)
+        assert cert.verdict == "inconclusive"
+        assert "did not settle" in cert.notes
+        assert cert.constants["iterations"] == 1
 
     def test_kernel_input_rejected(self):
         with pytest.raises(ValueError, match="continuous-time"):

@@ -271,6 +271,20 @@ class TestAuxiliaryPush:
             self.assert_same_push(auxiliary_measure(G, mu, a).weights,
                                   mu.weights @ resolvent_raw(G, a))
 
+    def test_generator_push_takes_two_solves(self, monkeypatch):
+        # one for the row-sum check, one for the push; the null atoms are
+        # checked through one jump of Q, with no third solve
+        calls = []
+        real_solve = np.linalg.solve
+
+        def solve(a, b):
+            calls.append(np.shape(b))
+            return real_solve(a, b)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        m = auxiliary_measure(SYM, Measure(S2, [1.0, 0.0]), alpha=2.0)
+        assert m.mass > 0.0
+        assert len(calls) == 2
+
     def test_no_operator_formed_to_push_one_measure(self, monkeypatch):
         # every resolvent-smoothed measure below is one vector solve: no
         # call hands numpy an n x n right-hand side

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ergocert import solver
 from ergocert.core import Kernel, Measure, StateSpace, push
 from ergocert.semigroup import Generator
 from ergocert.certificates.phi import PhiLinear
+from ergocert.scenarios import birth_death
 from ergocert.solver import (
     ErgodicDecomposition,
     _strong_components,
@@ -173,6 +175,15 @@ class TestSolveCesaroAdjoint:
     def test_zero_mass_reference_rejected(self):
         with pytest.raises(ValueError, match="positive mass"):
             solve_cesaro_adjoint(TWO_STATE, Measure(S2, [0.0, 0.0]))
+
+    def test_exhausted_doublings_reported(self, monkeypatch):
+        # the cap is read at call time; this chain needs 14 doublings
+        monkeypatch.setattr(solver, "MAX_DOUBLINGS", 2)
+        K = birth_death(30, 0.55).kernel
+        res = solve_cesaro_adjoint(K, Measure(K.space, np.full(30, 1 / 30)))
+        assert not res.converged
+        assert res.diagnostics["mode"] == "exhausted"
+        assert res.iterations == 2
 
 
 class TestSolveContinuous:
