@@ -29,7 +29,7 @@ import numpy as np
 
 from ..core import Kernel, Measure, StateSet
 from ..semigroup import (Generator, _running_means, auxiliary_measure,
-                         resolvent, uniformized)
+                         resolvent)
 from ..solver import averaging_projector
 from .averages import (LIMIT, continuous_mean_rows, continuous_power_rows,
                        geometric_horizons, limit_row, mean_rows, power_rows)
@@ -417,7 +417,13 @@ def check_resolvent_almost_invariant(S: Generator, m: Measure,
     _require_positive_mass(m)
     rows = [(a, a * auxiliary_measure(S, m, a).weights) for a in _ALPHAS]
     rows.append((LIMIT, np.clip(limit_row(S, m), 0.0, None)))
+    return _resolvent_verdict(S, m, params, rows)
 
+
+def _resolvent_verdict(S: Generator, m: Measure,
+                       params: AlmostInvarianceParams, rows) -> Certificate:
+    """check_resolvent_almost_invariant's verdict over its (tag, row)
+    pairs: m alpha R_alpha along _ALPHAS, then the clipped limit row."""
     worst, worst_tag, worst_members = _worst_row(rows, m, params.phi)
     _, res_index = _mass_sup(rows, m.weights <= 0.0)
     delta_min = worst / m.mass
@@ -744,7 +750,7 @@ def check_uniform_lp_bound(S: Generator, m: Measure, p: float,
     # the limiting averages stand in for the vanishing-alpha end of the
     # grid; without them M can understate the sup that the attached
     # modulus conclusion is scored against
-    lim_kernel = Kernel(S.space, averaging_projector(uniformized(S)),
+    lim_kernel = Kernel(S.space, averaging_projector(S),
                         kind="markovian", on_rowsum="renormalize")
     probes = [(str(a), resolvent(S, a)) for a in _ALPHAS]
     probes.append((LIMIT, lim_kernel))
@@ -775,8 +781,11 @@ def check_uniform_lp_bound(S: Generator, m: Measure, p: float,
             phi = PhiLinear(M)
         else:
             phi = PhiPower(coef=m.mass ** ((p - 1.0) / p) * M, mult=1.0, p=p)
-        derived = check_resolvent_almost_invariant(
-            S, m, AlmostInvarianceParams(phi, 0.0, horizon=horizon))
+        # the conclusion reads the kernels at hand
+        rows = [(a, m.weights @ Ka.rows) for a, (_, Ka) in zip(_ALPHAS, probes)]
+        rows.append((LIMIT, np.clip(m.weights @ lim_kernel.rows, 0.0, None)))
+        derived = _resolvent_verdict(
+            S, m, AlmostInvarianceParams(phi, 0.0, horizon=horizon), rows)
         attached = (derived,)
         notes += "; norm bound converted to a modulus conclusion"
     elif ok:

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Kernel, Measure
+from ..core import Measure
 from ..semigroup import (Generator, kb_measure, mean_rows, power_rows,
-                         transition_at, uniformized)
+                         transition_at)
 from ..solver import averaging_projector
 
 __all__ = [
@@ -96,7 +96,6 @@ def continuous_mean_rows(G: Generator, m: Measure, ts) -> list:
 
 
 def limit_row(S, m: Measure) -> np.ndarray:
-    """m composed with the limiting averaging projector of the dynamics."""
-    if isinstance(S, Kernel):
-        return m.weights @ averaging_projector(S)
-    return m.weights @ averaging_projector(uniformized(S))
+    """m composed with the limiting averaging projector of the dynamics,
+    a kernel's or a generator's alike."""
+    return m.weights @ averaging_projector(S)

@@ -443,6 +443,13 @@ def check_concentration(P: Kernel, m: Measure,
     almost-invariance certificate on m o R with modulus m(E)*phi and the
     suffix-optimized leakage 1 + 1/n - (1-delta) m(S_{n-1} 1_C)/m(E).
     """
+    return _concentration(P, m, params, C, lambda: auxiliary_measure(P, m))
+
+
+def _concentration(P: Kernel, m: Measure, params: AlmostInvarianceParams,
+                   C, reference) -> Certificate:
+    """check_concentration, reading m o R from reference(), which a
+    caller that needs m o R again passes cached and shares."""
     if not 0.0 <= params.delta < 1.0:
         raise ValueError("delta must lie in [0, 1)")
     if m.mass <= 0.0:
@@ -466,7 +473,7 @@ def check_concentration(P: Kernel, m: Measure,
     notes = ""
     if ok and N >= 2:
         mean_cert = _mean_conclusion(
-            lambda: (P, auxiliary_measure(P, m)),
+            lambda: (P, reference()),
             params.phi.scale(m.mass),
             lambda ns: (1.0 + 1.0 / ns
                         - (1.0 - params.delta) * on[ns - 2] / m.mass),

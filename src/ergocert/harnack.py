@@ -20,6 +20,7 @@ _pointwise_drift on [V < inf], where a row feeding an infinite atom
 violates by inf.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ from .core import (Kernel, StateFn, StateSet, dirac, identity, push,
                    state_index, state_mask, state_values)
 from .semigroup import auxiliary_measure
 from .solver import solve_cesaro_adjoint
-from .certificates.drift import (_kernel_image, _pointwise_drift,
-                                 check_concentration, fit_drift_constants)
+from .certificates.drift import (_concentration, _kernel_image,
+                                 _pointwise_drift, fit_drift_constants)
 from .certificates.phi import AlmostInvarianceParams, PhiPower
 from .certificates.types import FAILS, HOLDS, INCONCLUSIVE, Certificate
 
@@ -230,7 +231,8 @@ def certify_harnack_pipeline(P: Kernel, V, C, z0=None, p: float = 2.0,
         )
     phi = PhiPower(1.0, m_star, p)
     params = AlmostInvarianceParams(phi, 0.0, horizon=horizon)
-    conc = check_concentration(P, m, params, C)
+    reference = functools.cache(lambda: auxiliary_measure(P, m))
+    conc = _concentration(P, m, params, C, reference)
 
     constants = {"gamma": gamma, "c": c, "p": float(p), "M_star": m_star,
                  "z0": P.space.labels[z], "delta": 0.0}
@@ -244,15 +246,16 @@ def certify_harnack_pipeline(P: Kernel, V, C, z0=None, p: float = 2.0,
             attached=(hl, conc),
         )
 
-    return _holds_with_invariant("harnack-pipeline", "kernel", P, m,
+    return _holds_with_invariant("harnack-pipeline", "kernel", P, reference,
                                  constants, (hl, conc))
 
 
-def _holds_with_invariant(condition: str, what: str, P: Kernel, m,
+def _holds_with_invariant(condition: str, what: str, P: Kernel, reference,
                           constants: dict, attached: tuple) -> Certificate:
     """The passing certificate, after the averaging solver has turned the
-    resolvent-smoothed reference m o R into a nonzero invariant measure."""
-    res = solve_cesaro_adjoint(P, auxiliary_measure(P, m))
+    resolvent-smoothed reference m o R, read from reference(), into a
+    nonzero invariant measure."""
+    res = solve_cesaro_adjoint(P, reference())
     if res.nu.mass <= 0.0:
         raise ArithmeticError(
             f"certified {what} produced the zero invariant measure")
@@ -404,10 +407,10 @@ def certify_perturbation(P: Kernel, V, gamma: float, c: float,
     m = push(dirac(P.space, z), mixed)
     phi = PhiPower(b, m_big / a, p)
     delta = 1.0 - a
-    conc = check_concentration(mixed, m,
-                               AlmostInvarianceParams(phi, delta,
-                                                      horizon=horizon),
-                               window)
+    reference = functools.cache(lambda: auxiliary_measure(mixed, m))
+    conc = _concentration(mixed, m,
+                          AlmostInvarianceParams(phi, delta, horizon=horizon),
+                          window, reference)
     if not conc.holds:
         if conc.witness is not None and "set" in conc.witness:
             raise ArithmeticError(
@@ -422,7 +425,7 @@ def certify_perturbation(P: Kernel, V, gamma: float, c: float,
             attached=(conc,),
         )
 
-    return _holds_with_invariant("perturbation", "mixture", mixed, m,
+    return _holds_with_invariant("perturbation", "mixture", mixed, reference,
                                  constants, (conc,))
 
 

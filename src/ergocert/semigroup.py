@@ -138,15 +138,15 @@ def last_row(rows) -> np.ndarray:
 
 def _uniformized_step(G: Generator) -> np.ndarray:
     """P_lam = I + Q / lam, the jump kernel of the uniformized chain."""
+    if G.lam == 0.0:
+        return np.eye(G.size)
     return np.eye(G.size) + G.rates / G.lam
 
 
 def uniformized(G: Generator) -> Kernel:
-    """Markovian jump kernel I + Q/lam of the uniformized chain.
-
-    Shares the generator's closed classes, per-class stationary laws and
-    absorption weights, so long-time averages of the flow can be read off
-    this one kernel.
+    """Markovian jump kernel I + Q/lam of the uniformized chain, the
+    identity when lam = 0. Limits are not read off it: its diagonal
+    1 + q_ii/lam would cancel in P - I, so solver.decompose reads Q.
     """
     return Kernel(G.space, _uniformized_step(G), kind="markovian",
                   on_rowsum="renormalize")

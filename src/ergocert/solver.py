@@ -1,11 +1,13 @@
-"""Invariant measures: exact eigen solves and the constructive averaging route.
+"""Invariant measures: one ergodic decomposition, exact eigen solves and
+the constructive averaging route.
 
-The two paths answer different questions. solve_eigen enumerates every
-invariant probability (one per closed communicating class), regardless
-of any reference measure. solve_cesaro_adjoint starts from a reference
-measure m and produces the largest invariant measure absolutely
-continuous w.r.t. m, which is legitimately the zero measure when no
-mass survives inside supp(m).
+decompose alone finds closed classes, their laws and their absorption
+weights, for kernels and generators alike. solve_eigen enumerates every
+invariant probability (one per closed class that keeps its mass),
+regardless of any reference measure. solve_cesaro_adjoint starts from a
+reference measure m and produces the largest invariant measure
+absolutely continuous w.r.t. m, which is legitimately the zero measure
+when no mass survives inside supp(m).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Kernel, Measure, StateFn, StateSet, adjoint, push
-from .semigroup import Generator, resolvent
+from .semigroup import Generator, auxiliary_measure
 
 __all__ = [
     "InvariantResult",
@@ -52,22 +54,26 @@ class InvariantResult:
 
 @dataclass(frozen=True)
 class ErgodicDecomposition:
-    """Closed classes, their invariant probabilities, and absorption weights."""
+    """Closed classes, their invariant probabilities, and absorption weights
+    of a (sub-)markovian kernel or a generator. Absorption rows sum to one,
+    or to less where a sub-markovian kernel lets mass die off."""
 
     space: object
     classes: tuple          # tuple[StateSet]
     class_measures: tuple   # tuple[Measure], probabilities
     transient: StateSet
-    absorption: np.ndarray  # (n_states, n_classes), rows sum to 1
+    absorption: np.ndarray  # (n_states, n_classes), rows sum to at most 1
 
     @property
     def n_classes(self) -> int:
         return len(self.classes)
 
     def projector(self) -> np.ndarray:
-        """Limit of the running averages S_n as a dense matrix."""
-        return _projector(self.absorption,
-                          [mj.weights for mj in self.class_measures])
+        """Limit of the running (or time) averages as a dense matrix."""
+        out = np.zeros((self.absorption.shape[0],) * 2)
+        for j, mj in enumerate(self.class_measures):
+            out += self.absorption[:, [j]] * mj.weights[None, :]
+        return out
 
 
 def _stationary(M: np.ndarray) -> np.ndarray:
@@ -146,129 +152,104 @@ def _strong_components(adjacency: np.ndarray):
     return count, np.array(labels)
 
 
-def _closed_components(adjacency: np.ndarray):
-    """Strongly connected components split into closed and open ones."""
+def decompose(S, verify: bool = True) -> ErgodicDecomposition:
+    """Split a (sub-)markovian kernel or a generator into closed classes
+    plus transient states, read in rate form M = P - I or M = Q.
+
+    M is never formed whole. Each closed class of the graph P > 0 or
+    Q > 0 gets its law from x M = 0 on its block, checked to
+    EIGEN_RESIDUAL_TOL in l1 against x M / lam, where lam is 1 for a
+    kernel and the uniformization rate of a generator (1 if it has no
+    rates). A sub-markovian class whose rows miss one leaks and counts
+    as transient. Absorption weights solve -M_tt h = M_tc 1. With
+    verify=True the identities Pi P = Pi, P Pi = Pi, Pi^2 = Pi are
+    asserted with P - I read as M / lam and, unless the kernel is
+    sub-markovian, every row of Pi must sum to one, which the zero
+    matrix, a solution of all three identities, does not. None of these
+    checks depends on how fast the chain mixes.
+    """
+    if isinstance(S, Generator):
+        A, shift, lam, sub = S.rates, 0.0, S.lam or 1.0, False
+    elif S.kind in ("markovian", "sub-markovian"):
+        A, shift, lam, sub = S.rows, 1.0, 1.0, S.kind == "sub-markovian"
+    else:
+        raise ValueError("decomposition needs (sub-)markovian rows or a "
+                         f"generator, got kind {S.kind!r}")
+    n = S.size
+
+    def rate_block(idx):
+        """M on the states idx, formed from a copy of A's block."""
+        block = A[np.ix_(idx, idx)]
+        block[np.diag_indices(idx.size)] -= shift
+        return block
+
+    adjacency = A > 0.0
     n_comp, labels = _strong_components(adjacency)
-    closed = []
+    classes = []
+    laws = []
+    in_class = np.zeros(n, dtype=bool)
     for c in range(n_comp):
         mask = labels == c
-        if not adjacency[np.ix_(mask, ~mask)].any():
-            closed.append(c)
-    return labels, closed
-
-
-def _conserved_classes(K: Kernel):
-    """Closed classes that keep their mass, stationary rows, absorption.
-
-    Returns (classes, rows, absorption, transient): the index array of
-    each closed class whose block rows sum to one (every closed class of
-    a markovian kernel), the class's stationary probability as a full
-    row, the (n_states, n_classes) probabilities of ending up in each
-    class, from the first-step linear system, and the indices of all
-    other states. Mass of a sub-markovian kernel that never reaches such
-    a class dies off, so its absorption rows sum to less than one. Every
-    stationary row is checked against the kernel to EIGEN_RESIDUAL_TOL
-    in l1.
-    """
-    n = K.size
-    labels, closed = _closed_components(K.rows > 0.0)
-    classes = []
-    rows = []
-    in_class = np.zeros(n, dtype=bool)
-    for c in closed:
-        idx = np.flatnonzero(labels == c)
-        block = K.rows[np.ix_(idx, idx)]
-        if (K.kind != "markovian"
-                and np.abs(block.sum(axis=1) - 1.0).max() > 1e-12):
+        if adjacency[np.ix_(mask, ~mask)].any():
+            continue  # the component is open
+        idx = np.flatnonzero(mask)
+        if sub and np.abs(A[np.ix_(idx, idx)].sum(axis=1) - 1.0).max() > 1e-12:
             continue
         in_class[idx] = True
-        block[np.diag_indices(idx.size)] -= 1.0  # block - I, in place
         w = np.zeros(n)
-        w[idx] = _stationary(block)
-        residual = np.abs(w @ K.rows - w).sum()
+        w[idx] = _stationary(rate_block(idx))
+        residual = np.abs((w @ A - shift * w) / lam).sum()
         if residual > EIGEN_RESIDUAL_TOL:
             raise ArithmeticError(
                 f"stationary solve residual {residual:.3e} exceeds "
                 f"{EIGEN_RESIDUAL_TOL}")
         classes.append(idx)
-        rows.append(w)
+        laws.append(w)
+    if not classes and not sub:
+        raise AssertionError("a finite markovian kernel or generator always "
+                             "has a closed class")
     absorption = np.zeros((n, len(classes)))
     for j, idx in enumerate(classes):
         absorption[idx, j] = 1.0
     transient = np.flatnonzero(~in_class)
     if transient.size and classes:
-        # spectral radius of the transient block is < 1, so this is regular
-        ptt = K.rows[np.ix_(transient, transient)]
-        rhs = np.stack([K.rows[np.ix_(transient, idx)].sum(axis=1)
+        # -M_tt is a nonsingular M-matrix: mass leaves the transient states
+        rhs = np.stack([A[np.ix_(transient, idx)].sum(axis=1)
                         for idx in classes], axis=1)
-        absorption[transient, :] = np.linalg.solve(
-            np.eye(transient.size) - ptt, rhs)
-    return classes, rows, absorption, transient
-
-
-def _projector(absorption: np.ndarray, rows) -> np.ndarray:
-    n = absorption.shape[0]
-    out = np.zeros((n, n))
-    for j, w in enumerate(rows):
-        out += absorption[:, [j]] * w[None, :]
-    return out
-
-
-def decompose(K: Kernel, verify: bool = True) -> ErgodicDecomposition:
-    """Split a markovian kernel into closed classes plus transient states.
-
-    Each closed class gets its invariant probability by a direct linear
-    solve, checked against the kernel; transient states get absorption
-    weights from the first-step linear system. With verify=True the
-    projector identities Pi P = Pi, P Pi = Pi, Pi^2 = Pi are asserted,
-    and every row of Pi must sum to one, which the zero matrix, a
-    solution of all three identities, does not. None of these checks
-    depends on how fast the chain mixes.
-    """
-    if K.kind != "markovian":
-        raise ValueError("decomposition needs a markovian kernel")
-    classes, rows, absorption, transient = _conserved_classes(K)
-    if not classes:
-        raise AssertionError("a finite markovian kernel always has a "
-                             "closed class")
+        absorption[transient, :] = np.linalg.solve(-rate_block(transient),
+                                                   rhs)
 
     decomp = ErgodicDecomposition(
-        space=K.space,
-        classes=tuple(StateSet(K.space, idx) for idx in classes),
-        class_measures=tuple(Measure(K.space, w) for w in rows),
-        transient=StateSet(K.space, transient),
+        space=S.space,
+        classes=tuple(StateSet(S.space, idx) for idx in classes),
+        class_measures=tuple(Measure(S.space, w) for w in laws),
+        transient=StateSet(S.space, transient),
         absorption=absorption,
     )
 
     if verify:
         pi = decomp.projector()
-        for name, left, right in (
-            ("Pi P = Pi", pi @ K.rows, pi),
-            ("P Pi = Pi", K.rows @ pi, pi),
-            ("Pi Pi = Pi", pi @ pi, pi),
+        for name, gap in (
+            ("Pi P = Pi", (pi @ A - shift * pi) / lam),
+            ("P Pi = Pi", (A @ pi - shift * pi) / lam),
+            ("Pi Pi = Pi", pi @ pi - pi),
         ):
-            err = np.abs(left - right).max()
+            err = np.abs(gap).max()
             if err > 1e-10:
                 raise ArithmeticError(f"projector identity {name} off by {err:.3e}")
         err = np.abs(pi.sum(axis=1) - 1.0).max()
-        if err > 1e-10:
+        if not sub and err > 1e-10:
             raise ArithmeticError(f"projector rows miss mass one by {err:.3e}")
     return decomp
 
 
-def averaging_projector(K: Kernel) -> np.ndarray:
-    """Limit of the running averages S_n, markovian or sub-markovian.
-
-    For markovian kernels this is the decomposition projector. For
-    sub-markovian kernels only the conservative closed classes (internal
-    row sums exactly one) survive; mass that never reaches one dies off,
-    so rows of the result may sum to less than one, possibly to zero.
+def averaging_projector(S) -> np.ndarray:
+    """Limit of the running averages of a (sub-)markovian kernel, or of
+    the time averages of a generator's flow: the decomposition projector.
+    Mass of a sub-markovian kernel that never reaches a closed class
+    keeping its mass dies off, so rows may sum to less than one.
     """
-    if K.kind not in ("markovian", "sub-markovian"):
-        raise ValueError("averaging limits need (sub-)markovian rows, "
-                         f"got kind {K.kind!r}")
-    _, rows, absorption, _ = _conserved_classes(K)
-    return _projector(absorption, rows)
+    return decompose(S, verify=False).projector()
 
 
 def solve_eigen(K: Kernel) -> tuple[InvariantResult, ...]:
@@ -374,29 +355,19 @@ def solve_cesaro_adjoint(K: Kernel, m: Measure) -> InvariantResult:
 
 
 def solve_continuous(G: Generator) -> tuple[InvariantResult, ...]:
-    """Invariant probabilities of a generator, one per closed rate class.
-
-    Each candidate is verified to be fixed by alpha R_alpha for alpha in
-    {1/2, 1, 2} within 1e-10.
+    """Invariant probabilities of a generator, one per closed rate class,
+    from decompose. Each candidate nu must be fixed by alpha R_alpha, for
+    alpha in {1/2, 1, 2}, within 1e-10 in l1: nu goes through one
+    transposed resolvent solve per alpha.
     """
-    off = G.rates.copy()
-    np.fill_diagonal(off, 0.0)
-    labels, closed = _closed_components(off > 0.0)
-    if not closed:
-        raise AssertionError("a conservative generator always has a closed class")
-    kernels = [resolvent(G, a) for a in (0.5, 1.0, 2.0)]
+    decomp = decompose(G, verify=False)
     out = []
-    n = G.size
-    for c in closed:
-        idx = np.flatnonzero(labels == c)
-        block = G.rates[np.ix_(idx, idx)]
-        local = _stationary(block)
-        w = np.zeros(n)
-        w[idx] = local
-        nu = Measure(G.space, w)
+    for cls, nu in zip(decomp.classes, decomp.class_measures):
+        w = nu.weights
         residual = float(np.abs(w @ G.rates).sum())
-        for Kk in kernels:
-            drift = float(np.abs(push(nu, Kk).weights - w).sum())
+        for a in (0.5, 1.0, 2.0):
+            drift = float(np.abs(a * auxiliary_measure(G, nu, a).weights
+                                 - w).sum())
             if drift > 1e-10:
                 raise ArithmeticError(
                     f"candidate not fixed by the resolvent kernel "
@@ -404,7 +375,7 @@ def solve_continuous(G: Generator) -> tuple[InvariantResult, ...]:
         out.append(InvariantResult(
             nu=nu, density=None, residual=residual, method="generator-eigen",
             iterations=0, converged=True,
-            diagnostics={"class_members": [int(i) for i in idx]}))
+            diagnostics={"class_members": [int(i) for i in cls.members]}))
     return tuple(out)
 
 

@@ -16,7 +16,7 @@ from ergocert.certificates.phi import (
     PhiPower,
     PhiTable,
 )
-from ergocert.certificates import almost
+from ergocert.certificates import almost, averages
 from ergocert.certificates.almost import (
     check_absolute_continuity,
     check_almost_invariant,
@@ -461,3 +461,26 @@ class TestUniformLpBound:
     def test_kernel_input_rejected(self):
         with pytest.raises(ValueError, match="continuous-time"):
             check_uniform_lp_bound(TWO_STATE, M_UNIFORM, 2.0)
+
+    def test_conclusion_reads_the_formed_kernels(self, monkeypatch):
+        # one solve per resolvent kernel, one for the class law and two
+        # for the support check; one projector for the limit kernel
+        solves = []
+        real_solve = np.linalg.solve
+
+        def solve(a, b):
+            solves.append(np.shape(b))
+            return real_solve(a, b)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        projectors = []
+        for module in (almost, averages):
+            real = module.averaging_projector
+
+            def counted(S, _real=real):
+                projectors.append(S)
+                return _real(S)
+            monkeypatch.setattr(module, "averaging_projector", counted)
+        cert = check_uniform_lp_bound(SYM, M_UNIFORM, 2.0)
+        assert cert.holds and cert.attached[0].holds
+        assert len(solves) == 8
+        assert len(projectors) == 1

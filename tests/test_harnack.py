@@ -7,6 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
+from ergocert import harnack
+from ergocert.certificates import drift
 from ergocert.core import Kernel, Measure, StateFn, StateSpace
 from ergocert.harnack import (
     PerturbationSpec,
@@ -158,6 +160,23 @@ class TestHarnackPipeline:
     def test_default_reference_is_v_minimizer(self):
         cert = certify_harnack_pipeline(TWO_STATE, V01, [0, 1])
         assert cert.constants["z0"] == "s0"
+
+    def test_reference_smoothed_once(self, monkeypatch):
+        # the mean conclusion and the averaging solver read one m o R
+        calls = []
+        for module in (harnack, drift):
+            real = module.auxiliary_measure
+
+            def counted(*args, _real=real):
+                calls.append(args)
+                return _real(*args)
+            monkeypatch.setattr(module, "auxiliary_measure", counted)
+        bd = birth_death(30, 0.7)
+        cert = certify_harnack_pipeline(bd.kernel, bd.V, bd.C)
+        assert cert.holds
+        conc = cert.attached[1]
+        assert [a.condition for a in conc.attached] == ["mean-almost-invariance"]
+        assert len(calls) == 1
 
 
 class TestPerturbationSpec:

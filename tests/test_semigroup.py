@@ -67,6 +67,11 @@ class TestGeneratorConstruction:
         assert_allclose(K.rows, [[1 - 1 / 1.05, 1 / 1.05],
                                  [1 / 1.05, 1 - 1 / 1.05]], atol=1e-15)
 
+    def test_zero_rate_generator_uniformizes_to_identity(self):
+        G = Generator(S2, np.zeros((2, 2)))
+        assert G.lam == 0.0
+        assert (uniformized(G).rows == np.eye(2)).all()
+
 
 class TestTransitionAt:
     def test_symmetric_closed_form(self):

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from ergocert import solver
 from ergocert.core import Kernel, Measure, StateSpace, push
 from ergocert.semigroup import Generator
-from ergocert.certificates.phi import PhiLinear
+from ergocert.certificates.almost import check_almost_invariant
+from ergocert.certificates.averages import limit_row
+from ergocert.certificates.phi import AlmostInvarianceParams, PhiLinear
 from ergocert.scenarios import birth_death
 from ergocert.solver import (
     ErgodicDecomposition,
@@ -19,6 +21,7 @@ from ergocert.solver import (
     solve_eigen,
     verify_count_bound,
 )
+from oracles import gth_stationary
 
 S2 = StateSpace.range(2)
 S3 = StateSpace.range(3)
@@ -96,6 +99,87 @@ class TestDecompose:
         K = Kernel(S2, [[0.5, 0.0], [0.0, 0.0]], kind="sub-markovian")
         pi = averaging_projector(K)
         assert_allclose(pi, np.zeros((2, 2)), atol=1e-15)
+
+
+def stiff_generators(count=200):
+    """Irreducible generators on 3 to 11 states with off-diagonal rates
+    10^U(-9, 3) at density 0.6, plus a cycle through every state."""
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        n = int(rng.integers(3, 12))
+        rates = 10.0 ** rng.uniform(-9.0, 3.0, (n, n))
+        off = np.where(rng.random((n, n)) < 0.6, rates, 0.0)
+        i = np.arange(n)
+        off[i, (i + 1) % n] = np.maximum(off[i, (i + 1) % n],
+                                         10.0 ** rng.uniform(-9.0, 3.0, n))
+        np.fill_diagonal(off, 0.0)
+        yield Generator(StateSpace.range(n), off - np.diag(off.sum(axis=1)))
+
+
+class TestRateForm:
+    """One decomposition, read off P - I for kernels and Q for generators."""
+
+    def test_stiff_generator_limits_match_gth(self):
+        # the uniformized diagonal (1 + q_ii/lam) - 1 cancels on these;
+        # read through it, the limit row was off by 1.4e-4 relative
+        worst = 0.0
+        for G in stiff_generators():
+            m = Measure(G.space, np.full(G.size, 1.0 / G.size))
+            ref = gth_stationary(G.rates)
+            worst = max(worst, float(np.abs(limit_row(G, m) / ref - 1.0).max()))
+        assert worst <= 1e-6
+
+    def test_zero_rate_generator_keeps_every_start(self):
+        G = Generator(S3, np.zeros((3, 3)))
+        m = Measure(S3, [0.2, 0.3, 0.5])
+        assert_array_equal(limit_row(G, m), m.weights)
+        params = AlmostInvarianceParams(PhiLinear(1.0), 0.0, horizon=8)
+        assert check_almost_invariant(G, m, params).holds
+
+    def test_sub_markovian_keeps_the_conserving_class(self):
+        # {0, 1} keeps its mass; the closed class {2} and state 3 leak
+        K = Kernel(StateSpace.range(4), [[0.5, 0.5, 0.0, 0.0],
+                                         [0.5, 0.5, 0.0, 0.0],
+                                         [0.0, 0.0, 0.9, 0.0],
+                                         [0.3, 0.0, 0.3, 0.2]],
+                   kind="sub-markovian")
+        d = decompose(K)
+        assert [list(c.members) for c in d.classes] == [[0, 1]]
+        assert list(d.transient.members) == [2, 3]
+        # from state 3: a = 0.3 + 0.2 a  =>  a = 0.375
+        assert_allclose(d.absorption[:, 0], [1.0, 1.0, 0.0, 0.375],
+                        rtol=1e-12, atol=1e-15)
+        assert (d.absorption.sum(axis=1)[2:] < 1.0).all()
+        (res,) = solve_eigen(K)
+        assert_allclose(res.nu.weights, [0.5, 0.5, 0.0, 0.0], rtol=1e-12)
+
+    def test_generator_with_two_classes_and_a_transient_state(self):
+        G = Generator(StateSpace.range(5), [[-1.0, 1.0, 0.0, 0.0, 0.0],
+                                            [2.0, -2.0, 0.0, 0.0, 0.0],
+                                            [0.0, 0.0, -0.5, 0.5, 0.0],
+                                            [0.0, 0.0, 0.5, -0.5, 0.0],
+                                            [1.0, 0.0, 3.0, 0.0, -4.0]])
+        d = decompose(G)
+        assert [list(c.members) for c in d.classes] == [[0, 1], [2, 3]]
+        assert list(d.transient.members) == [4]
+        assert_allclose(d.class_measures[0].weights,
+                        [2 / 3, 1 / 3, 0.0, 0.0, 0.0], rtol=1e-12)
+        assert_allclose(d.absorption[4], [0.25, 0.75], rtol=1e-12)
+        assert_allclose(d.absorption.sum(axis=1), 1.0, rtol=1e-15)
+
+    def test_solve_continuous_forms_no_operator(self, monkeypatch):
+        rhs_shapes = []
+        real_solve = np.linalg.solve
+
+        def solve(a, b):
+            rhs_shapes.append(np.shape(b))
+            return real_solve(a, b)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        G = Generator(S3, [[-1.0, 0.5, 0.5], [1.0, -2.0, 1.0],
+                           [0.2, 0.3, -0.5]])
+        (res,) = solve_continuous(G)
+        assert res.residual <= 1e-12
+        assert rhs_shapes and (3, 3) not in rhs_shapes
 
 
 class TestStrongComponents:
