@@ -460,22 +460,20 @@ def cesaro(K: Kernel, n: int) -> Kernel:
     return Kernel(K.space, s, kind=K.kind, on_rowsum="renormalize")
 
 
-def adjoint(K: Kernel, m: Measure, strict: bool = True) -> Kernel:
+def adjoint(K: Kernel, m: Measure) -> Kernel:
     """Adjoint of K w.r.t. m: rows a with m(a) > 0 carry m(x) K(x,a) / m(a),
     rows off the support are zero.
 
-    Satisfies the duality m(f * adjoint(K,m) g) = m(g * K f). With strict=True
-    (the default) the kernel must respect m-null sets: any flow of m-mass into
-    an m-null atom raises AbsoluteContinuityError naming the atom. strict=False
-    skips the gate; the returned kernel then silently drops that flow, which
-    is what the constructive solver wants.
+    Satisfies the duality m(f * adjoint(K,m) g) = m(g * K f). The kernel
+    must respect m-null sets: any flow of m-mass into an m-null atom raises
+    AbsoluteContinuityError naming the atom. solve_cesaro_adjoint, which
+    drops that flow, forms the support block of the adjoint itself.
     """
     _check_same_space(K, m)
     w = m.weights
-    flow = w @ K.rows  # m after one step of K
     null = w <= 0.0
-    if strict and null.any():
-        leaked = np.where(null, flow, 0.0)
+    if null.any():
+        leaked = np.where(null, w @ K.rows, 0.0)  # m after one step of K
         if (leaked > 0.0).any():
             a = int(np.argmax(leaked))
             raise AbsoluteContinuityError(

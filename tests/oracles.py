@@ -4,12 +4,15 @@ brute_force_worst enumerates every subset for the worst-set value that
 worst_set_search finds by its prefix scan; random_phi draws a modulus
 from one of the three concave families; gth_stationary is the
 subtraction-free stationary law that the rate-form decomposition is
-held to on stiff generators.
+held to on stiff generators; killed_cesaro_limit is the exact limit
+that the Cesaro-adjoint doubling approximates.
 """
 
 import numpy as np
 
 from ergocert.certificates.phi import PhiLinear, PhiPower, PhiTable
+from ergocert.core import Kernel
+from ergocert.solver import averaging_projector
 
 
 def brute_force_worst(row, base, phi):
@@ -78,3 +81,16 @@ def gth_stationary(rates):
     for k in range(1, n):
         pi[k] = pi[:k] @ a[:k, k]
     return pi / pi.sum()
+
+
+def killed_cesaro_limit(K, m):
+    """m Pi_S, where Pi_S is the averaging projector of K with every
+    column outside supp(m) set to zero.
+
+    The averaged adjoint iterates of K w.r.t. m only see K on supp(m),
+    so their limit density times m is the Cesaro limit of m K_S^n under
+    the killed kernel K_S: mass that leaves supp(m) dies.
+    """
+    killed = np.where(m.weights > 0.0, K.rows, 0.0)
+    return m.weights @ averaging_projector(
+        Kernel(K.space, killed, kind="sub-markovian"))

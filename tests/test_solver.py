@@ -5,12 +5,12 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ergocert import solver
-from ergocert.core import Kernel, Measure, StateSpace, push
-from ergocert.semigroup import Generator
+from ergocert.core import Kernel, Measure, StateSpace, dirac, push
+from ergocert.semigroup import Generator, auxiliary_measure
 from ergocert.certificates.almost import check_almost_invariant
 from ergocert.certificates.averages import limit_row
 from ergocert.certificates.phi import AlmostInvarianceParams, PhiLinear
-from ergocert.scenarios import birth_death
+from ergocert.scenarios import birth_death, block_chain
 from ergocert.solver import (
     ErgodicDecomposition,
     _strong_components,
@@ -21,7 +21,7 @@ from ergocert.solver import (
     solve_eigen,
     verify_count_bound,
 )
-from oracles import gth_stationary
+from oracles import gth_stationary, killed_cesaro_limit
 
 S2 = StateSpace.range(2)
 S3 = StateSpace.range(3)
@@ -270,6 +270,58 @@ class TestSolveCesaroAdjoint:
         assert res.iterations == 2
 
 
+class TestCesaroSupportBlock:
+    """The doubling on supp(m), flushed in kernel scale, against the
+    killed-kernel limit m Pi_S."""
+
+    @staticmethod
+    def solve(K, m):
+        res = solve_cesaro_adjoint(K, m)
+        gap = float(np.abs(res.nu.weights - killed_cesaro_limit(K, m)).sum())
+        return res, gap
+
+    def test_birth_death_uniform_start_flushes(self):
+        K = birth_death(600, 0.7).kernel
+        m = Measure(K.space, np.full(600, 1 / 600))
+        res, gap = self.solve(K, m)
+        assert res.diagnostics["flushed_entries"] > 0
+        assert 0.0 < res.diagnostics["flush_bound"] < 1e-140
+        assert gap <= 2e-12
+        # a general kernel has no norm bound on its powers: no flush
+        plain = solve_cesaro_adjoint(Kernel(K.space, K.rows, kind="general"),
+                                     m)
+        assert plain.diagnostics["flushed_entries"] == 0
+        assert plain.diagnostics["flush_bound"] == 0.0
+        assert np.abs(plain.nu.weights - res.nu.weights).sum() <= 2e-12
+
+    def test_block_chain_reference_on_one_block(self):
+        K = block_chain(3, 40).kernel
+        w = np.zeros(120)
+        w[40:80] = 1.0
+        res, gap = self.solve(K, Measure(K.space, w))
+        assert gap <= 2e-12
+        assert_allclose(res.nu.mass, 40.0, rtol=1e-12)
+        assert (res.density.values[w == 0.0] == 0.0).all()
+
+    def test_reference_with_subnormal_atoms(self):
+        # the harnack stage's reference: the row at 0 smoothed by R
+        K = birth_death(400, 0.7).kernel
+        m = auxiliary_measure(K, push(dirac(K.space, 0), K))
+        assert (m.weights > 0.0).all()
+        assert (m.weights < np.finfo(float).tiny).any()
+        res, gap = self.solve(K, m)
+        assert res.converged
+        assert gap <= 2e-12
+
+    def test_density_vanishes_off_the_support_in_plain_mode(self):
+        # m is invariant on the swap {0, 1}, so the plain iterate settles
+        # at the first doubling; state 2 is off supp(m)
+        K = Kernel(S3, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        res = solve_cesaro_adjoint(K, Measure(S3, [0.5, 0.5, 0.0]))
+        assert res.diagnostics["mode"] == "plain"
+        assert_array_equal(res.density.values, [1.0, 1.0, 0.0])
+
+
 class TestSolveContinuous:
     def test_symmetric_pair(self):
         G = Generator(S2, [[-1.0, 1.0], [1.0, -1.0]])
@@ -288,6 +340,27 @@ class TestSolveContinuous:
         found = sorted((tuple(np.round(r.nu.weights, 9)) for r in results))
         assert_allclose(found[0], [0.0, 0.0, 0.5, 0.5], atol=1e-12)
         assert_allclose(found[1], [2 / 3, 1 / 3, 0.0, 0.0], atol=1e-12)
+
+    def test_class_laws_checked_on_the_class_block(self, monkeypatch):
+        # 100 two-state classes: every solve stays on one class block
+        shapes = []
+        real_solve = np.linalg.solve
+
+        def solve(a, b):
+            shapes.append(np.shape(a))
+            return real_solve(a, b)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        rates = np.zeros((200, 200))
+        for lo in range(0, 200, 2):
+            up, down = 1.0 + lo / 100, 2.0
+            rates[lo:lo + 2, lo:lo + 2] = [[-up, up], [down, -down]]
+        results = solve_continuous(Generator(StateSpace.range(200), rates))
+        assert len(results) == 100
+        assert shapes and max(max(s) for s in shapes) <= 2
+        for k, res in enumerate(results):
+            up = 1.0 + 2 * k / 100
+            assert_allclose(res.nu.weights[2 * k:2 * k + 2],
+                            [2.0 / (up + 2.0), up / (up + 2.0)], rtol=1e-12)
 
 
 class TestCountBound:
