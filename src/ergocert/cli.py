@@ -33,7 +33,8 @@ from .scenarios import Scenario, generate, scenario_ids
 from .harnack import (PerturbationSpec, certify_harnack_pipeline,
                       certify_perturbation, check_harnack_drift,
                       harnack_constant, harnack_maximizer, perturb)
-from .pipeline import _index_summary, _write_index_csv, run_pipeline
+from .pipeline import (_decay_summary, _index_summary, _invariant_record,
+                       _write_decay_csv, _write_index_csv, run_pipeline)
 from .certificates import almost, drift
 from .certificates.phi import (AlmostInvarianceParams, PhiLinear, PhiPower,
                                PhiTable)
@@ -273,15 +274,7 @@ def _cmd_invariant(args):
     else:
         results = list(solve_eigen(system))
 
-    doc = {"invariants": [{
-        "method": r.method,
-        "labels": list(r.nu.space.labels),
-        "weights": r.nu.weights,
-        "mass": r.nu.mass,
-        "residual": r.residual,
-        "converged": r.converged,
-    } for r in results]}
-    _emit(doc, args.out)
+    _emit({"invariants": [_invariant_record(r) for r in results]}, args.out)
     return 0
 
 
@@ -341,15 +334,11 @@ def _cmd_convergence(args):
         rep = decay_report(P, m, V, n_grid=grid)
     else:
         rep = decay_report(P, m, V)
-    doc = {"ns": list(rep.ns), "norms": list(rep.norms),
-           "fitted_gamma": rep.fitted_gamma, "fitted_C": rep.fitted_C,
-           "r2": rep.r2, "geometric": rep.geometric,
-           "envelope_ok": rep.envelope_ok, "fit_points": rep.fit_points,
-           "note": rep.note}
-    _emit(doc, args.out)
+    summary = _decay_summary(rep)
+    _emit({**summary, "fit_points": rep.fit_points, "note": rep.note},
+          args.out)
     if args.csv:
-        eio.write_series_csv(args.csv, ["n", "norm"],
-                             list(zip(rep.ns, rep.norms)))
+        _write_decay_csv(args.csv, summary)
     return 0 if rep.geometric else 2
 
 
@@ -456,13 +445,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"ergocert: error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"ergocert: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, OSError, KeyError, ValueError) as exc:
+        # json.JSONDecodeError is a ValueError
         print(f"ergocert: error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Kernel, StateFn, StateSet, dirac, identity, push,
-                   state_index, state_mask, state_values)
+from .core import (Kernel, StateFn, StateSet, _combined_kind, dirac,
+                   identity, push, state_index, state_mask, state_values)
 from .semigroup import auxiliary_measure
 from .solver import solve_cesaro_adjoint
 from .certificates.drift import (_concentration, _kernel_image,
@@ -305,8 +305,7 @@ def perturb(P: Kernel, spec: PerturbationSpec) -> Kernel:
     if Q.space != P.space:
         raise ValueError("Q lives on a different space")
     rows = r[:, None] * P.rows + (1.0 - r)[:, None] * Q.rows
-    kind = P.kind if Q.kind == P.kind else "general"
-    return Kernel(P.space, rows, kind=kind)
+    return Kernel(P.space, rows, kind=_combined_kind(P.kind, Q.kind))
 
 
 def certify_perturbation(P: Kernel, V, gamma: float, c: float,

@@ -45,6 +45,7 @@ DEFAULT_STEPS = ("auxiliary-measure", "absolute-continuity",
                  "index-profile", "almost-invariance", "invariant")
 
 _INDEX_COLUMNS = ("epsilon", "crisp", "fractional")
+_DECAY_COLUMNS = ("n", "norm")
 
 
 def _index_summary(prof) -> dict:
@@ -64,6 +65,27 @@ def _write_index_csv(path, summary: dict) -> None:
     eio.write_series_csv(path, _INDEX_COLUMNS,
                          list(zip(summary["epsilons"], summary["crisp"],
                                   summary["fractional"])))
+
+
+def _invariant_record(res) -> dict:
+    """One solver result in a report; ergocert invariant prints it too."""
+    return {"labels": list(res.nu.space.labels), "weights": res.nu.weights,
+            "mass": res.nu.mass, "residual": res.residual,
+            "method": res.method, "converged": res.converged}
+
+
+def _decay_summary(rep) -> dict:
+    """The decay block of a report; ergocert convergence prints it too."""
+    return {"ns": list(rep.ns), "norms": list(rep.norms),
+            "fitted_gamma": rep.fitted_gamma, "fitted_C": rep.fitted_C,
+            "r2": rep.r2, "geometric": rep.geometric,
+            "envelope_ok": rep.envelope_ok}
+
+
+def _write_decay_csv(path, summary: dict) -> None:
+    """One CSV row per horizon: n and the weighted gap norm."""
+    eio.write_series_csv(path, _DECAY_COLUMNS,
+                         list(zip(summary["ns"], summary["norms"])))
 
 
 @dataclass
@@ -119,27 +141,20 @@ def _four_way(ev: Evidence, prof, res) -> dict:
     (system, reference, horizon) and its Cesaro-adjoint solve."""
     m, horizon = ev.m, ev.horizon
     out = {}
-    opt = optimal_linear_params(ev, m, horizon=horizon)
-    out["delta"] = opt["delta"]
-    out["almost"] = bool(opt["delta"] < 1.0 - 1e-9)
-    if out["almost"]:
-        params = AlmostInvarianceParams(PhiLinear(opt["c"]),
-                                        opt["delta"] + 1e-12,
-                                        horizon=horizon)
-        cert = check_almost_invariant(ev, m, params)
-        if not cert.holds:
-            raise ArithmeticError("optimal constants failed verification")
-
-    mopt = optimal_linear_params(ev, m, horizon=horizon, mode="mean")
-    out["mean_delta"] = mopt["delta"]
-    out["mean"] = bool(mopt["delta"] < 1.0 - 1e-9)
-    if out["mean"]:
-        params = AlmostInvarianceParams(PhiLinear(mopt["c"]),
-                                        mopt["delta"] + 1e-12,
-                                        horizon=horizon)
-        cert = check_mean_almost_invariant(ev, m, params)
-        if not cert.holds:
-            raise ArithmeticError("optimal mean constants failed verification")
+    for mode, delta_key, vote, check, what in (
+            ("power", "delta", "almost", check_almost_invariant,
+             "optimal constants"),
+            ("mean", "mean_delta", "mean", check_mean_almost_invariant,
+             "optimal mean constants")):
+        opt = optimal_linear_params(ev, m, horizon=horizon, mode=mode)
+        out[delta_key] = opt["delta"]
+        out[vote] = bool(opt["delta"] < 1.0 - 1e-9)
+        if out[vote]:
+            params = AlmostInvarianceParams(PhiLinear(opt["c"]),
+                                            opt["delta"] + 1e-12,
+                                            horizon=horizon)
+            if not check(ev, m, params).holds:
+                raise ArithmeticError(f"{what} failed verification")
 
     out["index_estimate"] = prof.index_estimate
     out["threshold"] = prof.threshold
@@ -234,31 +249,34 @@ def run_pipeline(config, base_dir=None) -> Report:
     steps = _normalize_steps(config.get("steps", DEFAULT_STEPS))
     discrete = isinstance(system, Kernel)
 
-    def timed(name, fn):
+    def timed(name, stage, *args):
         t0 = time.perf_counter()
         try:
-            return fn()
+            return stage(*args)
         except Exception as exc:
             report.errors.append(f"{name}: {exc}")
             return None
         finally:
             report.timing[name] = time.perf_counter() - t0
 
-    # reference measure, needed by almost every stage
-    def build_reference():
+    # Each stage computes all of its results before it writes any of them
+    # into the report, so a stage that fails records only its error.
+    def reference():
         if m_explicit is not None:
-            report.profiles["reference"] = "supplied directly"
-            return m_explicit
-        start = mu
-        if start is None:
+            note, m = "supplied directly", m_explicit
+        elif mu is None:
             n = system.space.size
-            start = Measure(system.space, np.full(n, 1.0 / n))
-            report.profiles["reference"] = "resolvent of the uniform start"
+            note = "resolvent of the uniform start"
+            m = auxiliary_measure(system,
+                                  Measure(system.space, np.full(n, 1.0 / n)))
         else:
-            report.profiles["reference"] = "resolvent of the supplied start"
-        return auxiliary_measure(system, start)
+            note = "resolvent of the supplied start"
+            m = auxiliary_measure(system, mu)
+        report.profiles["reference"] = note
+        return m
 
-    m_ref = timed("auxiliary-measure", build_reference)
+    # the reference measure, needed by every other stage
+    m_ref = timed("auxiliary-measure", reference)
     if m_ref is None:
         return _emit(report, config, base_dir)
 
@@ -277,108 +295,72 @@ def run_pipeline(config, base_dir=None) -> Report:
     def eigen():
         return solve_eigen(system)
 
+    def absolute_continuity(opts):
+        report.certificates.append(check_absolute_continuity(system, m_ref))
+
+    def index_stage(opts):
+        prof = profile()
+        cert, summary = profile_certificate(prof), _index_summary(prof)
+        report.certificates.append(cert)
+        report.profiles["index"] = summary
+
+    def almost_invariance(opts):
+        opt = optimal_linear_params(ev, m_ref, horizon=horizon)
+        params = AlmostInvarianceParams(
+            PhiLinear(opt["c"]), min(opt["delta"] + 1e-12, 1.0),
+            horizon=horizon)
+        certs = [check_almost_invariant(ev, m_ref, params),
+                 check_mean_almost_invariant(ev, m_ref, params)]
+        four = _four_way(ev, profile(), cesaro()) if discrete else None
+        report.certificates.extend(certs)
+        report.profiles["optimal_constants"] = {"c": opt["c"],
+                                                "delta": opt["delta"]}
+        if discrete:
+            report.profiles["four_way"] = four
+
+    def invariant(opts):
+        found = ([cesaro(), *eigen()] if discrete
+                 else list(solve_continuous(system)))
+        report.invariants_found.extend([_invariant_record(res)
+                                        for res in found])
+        if found[0].nu.mass <= 1e-12 * m_ref.mass:
+            report.profiles["invariant_note"] = (
+                "no invariant measure absolutely continuous with respect "
+                "to the reference")
+
+    def convergence(opts):
+        if not discrete:
+            raise ValueError("convergence stage needs a kernel")
+        candidates = eigen()
+        if len(candidates) != 1:
+            raise ValueError("needs a unique invariant probability")
+        m_inv = candidates[0].nu.normalized()
+        v = V if V is not None else StateFn.constant(system.space, 0.0)
+        grid = opts.get("grid")
+        rep = (decay_report(system, m_inv, v) if grid is None
+               else decay_report(system, m_inv, v, n_grid=grid))
+        report.profiles["decay"] = _decay_summary(rep)
+
+    def harnack(opts):
+        if not discrete:
+            raise ValueError("harnack stage needs a kernel")
+        if V is None:
+            raise ValueError("harnack stage needs a lyapunov companion")
+        window = C if C is not None else StateSet.from_mask(
+            system.space, V.values <= float(np.median(V.values)))
+        report.certificates.append(certify_harnack_pipeline(
+            system, V, window, z0=opts.get("z0"),
+            p=float(opts.get("p", 2.0)), horizon=horizon))
+
+    stages = {"absolute-continuity": absolute_continuity,
+              "index-profile": index_stage,
+              "almost-invariance": almost_invariance,
+              "invariant": invariant, "convergence": convergence,
+              "harnack": harnack}
     for name, opts in steps:
-        if name == "auxiliary-measure":
-            continue
-
-        if name == "absolute-continuity":
-            cert = timed(name, lambda: check_absolute_continuity(system,
-                                                                 m_ref))
-            if cert is not None:
-                report.certificates.append(cert)
-
-        elif name == "index-profile":
-            prof = timed(name, profile)
-            if prof is not None:
-                report.certificates.append(profile_certificate(prof))
-                report.profiles["index"] = _index_summary(prof)
-
-        elif name == "almost-invariance":
-            def _almost():
-                opt = optimal_linear_params(ev, m_ref, horizon=horizon)
-                params = AlmostInvarianceParams(
-                    PhiLinear(opt["c"]), min(opt["delta"] + 1e-12, 1.0),
-                    horizon=horizon)
-                certs = [check_almost_invariant(ev, m_ref, params),
-                         check_mean_almost_invariant(ev, m_ref, params)]
-                four = (_four_way(ev, profile(), cesaro()) if discrete
-                        else None)
-                return opt, certs, four
-            got = timed(name, _almost)
-            if got is not None:
-                opt, certs, four = got
-                report.certificates.extend(certs)
-                report.profiles["optimal_constants"] = {
-                    "c": opt["c"], "delta": opt["delta"]}
-                if four is not None:
-                    report.profiles["four_way"] = four
-
-        elif name == "invariant":
-            def _invariant():
-                if discrete:
-                    return [cesaro(), *eigen()]
-                return list(solve_continuous(system))
-            found = timed(name, _invariant)
-            if found is not None:
-                for res in found:
-                    report.invariants_found.append({
-                        "labels": list(res.nu.space.labels),
-                        "weights": res.nu.weights,
-                        "mass": res.nu.mass,
-                        "residual": res.residual,
-                        "method": res.method,
-                        "converged": res.converged,
-                    })
-                constructive = found[0]
-                if constructive.nu.mass <= 1e-12 * m_ref.mass:
-                    report.profiles["invariant_note"] = (
-                        "no invariant measure absolutely continuous with "
-                        "respect to the reference")
-
-        elif name == "convergence":
-            def _convergence():
-                if not discrete:
-                    raise ValueError("convergence stage needs a kernel")
-                candidates = eigen()
-                if len(candidates) != 1:
-                    raise ValueError("needs a unique invariant probability")
-                m_inv = candidates[0].nu.normalized()
-                v = V if V is not None else StateFn.constant(system.space,
-                                                             0.0)
-                grid = opts.get("grid")
-                if grid is None:
-                    return decay_report(system, m_inv, v)
-                return decay_report(system, m_inv, v, n_grid=grid)
-            rep = timed(name, _convergence)
-            if rep is not None:
-                report.profiles["decay"] = {
-                    "ns": list(rep.ns), "norms": list(rep.norms),
-                    "fitted_gamma": rep.fitted_gamma,
-                    "fitted_C": rep.fitted_C, "r2": rep.r2,
-                    "geometric": rep.geometric,
-                    "envelope_ok": rep.envelope_ok,
-                }
-
-        elif name == "harnack":
-            def _harnack():
-                if not discrete:
-                    raise ValueError("harnack stage needs a kernel")
-                if V is None:
-                    raise ValueError("harnack stage needs a lyapunov "
-                                     "companion")
-                window = C
-                if window is None:
-                    cut = float(np.median(V.values))
-                    window = StateSet.from_mask(system.space,
-                                                V.values <= cut)
-                return certify_harnack_pipeline(
-                    system, V, window, z0=opts.get("z0"),
-                    p=float(opts.get("p", 2.0)), horizon=horizon)
-            cert = timed(name, _harnack)
-            if cert is not None:
-                report.certificates.append(cert)
-
-        else:
+        if name in stages:
+            timed(name, stages[name], opts)
+        elif name != "auxiliary-measure":
             report.errors.append(f"{name}: unknown step")
 
     return _emit(report, config, base_dir)
@@ -396,7 +378,5 @@ def _emit(report: Report, config, base_dir) -> Report:
             _write_index_csv(csv_dir / "index_profile.csv", idx)
         decay = report.profiles.get("decay")
         if decay is not None:
-            eio.write_series_csv(
-                csv_dir / "decay.csv", ["n", "norm"],
-                list(zip(decay["ns"], decay["norms"])))
+            _write_decay_csv(csv_dir / "decay.csv", decay)
     return report

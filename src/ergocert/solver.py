@@ -48,10 +48,6 @@ class InvariantResult:
     converged: bool = True
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.nu.mass <= 1e-300
-
 
 @dataclass(frozen=True)
 class ErgodicDecomposition:

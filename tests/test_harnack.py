@@ -234,6 +234,18 @@ class TestCertifyPerturbation:
         assert cert.witness == {"state": "s0", "violation": 0.5,
                                 "failed": "base-drift"}
 
+    def test_markovian_base_with_sub_markovian_companion(self):
+        # the mixture of a markovian P and a sub-markovian Q is
+        # sub-markovian, so it can be decomposed and certified
+        P = Kernel(S3, [[0.5, 0.5, 0.0], [0.3, 0.4, 0.3], [0.0, 0.5, 0.5]])
+        Q = Kernel(S3, np.diag([0.5, 0.9, 0.8]), kind="sub-markovian")
+        spec = PerturbationSpec(StateFn(S3, [0.5, 0.5, 0.5]), Q)
+        assert perturb(P, spec).kind == "sub-markovian"
+        cert = certify_perturbation(P, [1.0, 0.0, 1.0], 0.9, 1.0, spec,
+                                    0.5, 1.0, 1, 2.0, 2.0, horizon=16)
+        assert cert.verdict == "fails"
+        assert "window occupation not persistent" in cert.notes
+
     def test_mixing_bound_must_stay_below_one(self):
         spec = PerturbationSpec(StateFn(S2, [1.0, 0.5]))
         with pytest.raises(ValueError, match="strictly below one"):

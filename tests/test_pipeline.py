@@ -205,6 +205,23 @@ class TestRunPipeline:
         assert rep.invariants_found
         assert "harnack" in rep.timing
 
+    def test_failing_stage_records_only_its_error(self, monkeypatch):
+        # the four-way block fails after the almost-invariance stage has
+        # computed its certificates; none of them reaches the report
+        def boom(*args):
+            raise ArithmeticError("four-way failed")
+
+        monkeypatch.setattr(pipeline, "_four_way", boom)
+        rep = run_pipeline({"type": "pipeline-config",
+                            "scenario": {"id": "two_state"},
+                            "steps": list(DEFAULT_STEPS)})
+        assert rep.errors == ["almost-invariance: four-way failed"]
+        assert [c.condition for c in rep.certificates] == [
+            "absolute-continuity", "index-below-mass"]
+        assert sorted(rep.profiles) == ["index", "reference"]
+        assert len(rep.invariants_found) == 2
+        assert set(rep.timing) == set(DEFAULT_STEPS)
+
     def test_determinism(self):
         config = {"type": "pipeline-config",
                   "scenario": {"id": "two_state"}}
