@@ -5,10 +5,11 @@ dynamics respect (a start distribution smoothed through the resolvent),
 then ask quantitative questions against that reference — absolute
 continuity, almost invariance at the cheapest constants, the small-set
 occupation index, and finally the constructive solver. The stages share
-what they compute: one run computes each family of evidence rows of
+what they compute: one run computes the ergodic decomposition of the
+system (scenario generation included), each family of evidence rows of
 (system, reference, horizon), the index profile, the Cesaro-adjoint
 solve and the eigen solve at most once, on first use by any stage.
-Failures are collected, not fatal.
+Nothing of it outlives the run. Failures are collected, not fatal.
 
 four_way_verdicts packages the equivalence at the heart of the package:
 on a finite model, almost invariance with leakage below one, its mean
@@ -27,7 +28,8 @@ import numpy as np
 
 from .core import Kernel, Measure, StateFn, StateSet
 from .semigroup import auxiliary_measure
-from .solver import solve_cesaro_adjoint, solve_continuous, solve_eigen
+from .solver import (_shared_decompositions, solve_cesaro_adjoint,
+                     solve_continuous, solve_eigen)
 from .convergence import decay_report
 from .scenarios import Scenario, generate
 from .harnack import certify_harnack_pipeline
@@ -241,6 +243,13 @@ def run_pipeline(config, base_dir=None) -> Report:
     else:
         eio.validate_document(config)
 
+    with _shared_decompositions():
+        report = _run_stages(config, base_dir)
+    return _emit(report, config, base_dir)
+
+
+def _run_stages(config, base_dir) -> Report:
+    """run_pipeline's inputs and stages, without emission."""
     report = Report()
     scenario, system, V, C, m_explicit, mu = _resolve_inputs(
         config, base_dir)
@@ -278,7 +287,7 @@ def run_pipeline(config, base_dir=None) -> Report:
     # the reference measure, needed by every other stage
     m_ref = timed("auxiliary-measure", reference)
     if m_ref is None:
-        return _emit(report, config, base_dir)
+        return report
 
     # shared by the stages, each computed on first use and at most once
     ev = Evidence(system, m_ref, horizon)
@@ -363,7 +372,7 @@ def run_pipeline(config, base_dir=None) -> Report:
         elif name != "auxiliary-measure":
             report.errors.append(f"{name}: unknown step")
 
-    return _emit(report, config, base_dir)
+    return report
 
 
 def _emit(report: Report, config, base_dir) -> Report:

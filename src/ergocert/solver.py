@@ -12,6 +12,8 @@ when no mass survives inside supp(m).
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,6 +151,38 @@ def _strong_components(adjacency: np.ndarray):
     return count, np.array(labels)
 
 
+# id(system) -> (system, decomposition) for the run in progress, or None
+# outside a run; the entry holds the system, so its id is not recycled
+_RUN_DECOMPOSITIONS = contextvars.ContextVar("_RUN_DECOMPOSITIONS",
+                                             default=None)
+
+
+@contextlib.contextmanager
+def _shared_decompositions():
+    """Within the block, decompose builds each system's decomposition once.
+
+    The memo lives as long as the block and no longer, so a system kept
+    alive after a run does not keep its decomposition alive, and what
+    one run computed never changes the work of another.
+    """
+    token = _RUN_DECOMPOSITIONS.set({})
+    try:
+        yield
+    finally:
+        _RUN_DECOMPOSITIONS.reset(token)
+
+
+def _rate_form(S):
+    """(A, shift, lam, sub): M = A - shift I, read against the rate lam;
+    sub marks a sub-markovian kernel."""
+    if isinstance(S, Generator):
+        return S.rates, 0.0, S.lam or 1.0, False
+    if S.kind in ("markovian", "sub-markovian"):
+        return S.rows, 1.0, 1.0, S.kind == "sub-markovian"
+    raise ValueError("decomposition needs (sub-)markovian rows or a "
+                     f"generator, got kind {S.kind!r}")
+
+
 def decompose(S, verify: bool = True) -> ErgodicDecomposition:
     """Split a (sub-)markovian kernel or a generator into closed classes
     plus transient states, read in rate form M = P - I or M = Q.
@@ -164,14 +198,26 @@ def decompose(S, verify: bool = True) -> ErgodicDecomposition:
     sub-markovian, every row of Pi must sum to one, which the zero
     matrix, a solution of all three identities, does not. None of these
     checks depends on how fast the chain mixes.
+
+    Inside one run_pipeline call the decomposition of a system object is
+    built once and shared by every stage that asks for it; verify=True
+    still checks it on every call. Outside a run each call builds anew.
     """
-    if isinstance(S, Generator):
-        A, shift, lam, sub = S.rates, 0.0, S.lam or 1.0, False
-    elif S.kind in ("markovian", "sub-markovian"):
-        A, shift, lam, sub = S.rows, 1.0, 1.0, S.kind == "sub-markovian"
+    form = _rate_form(S)
+    memo = _RUN_DECOMPOSITIONS.get()
+    entry = None if memo is None else memo.get(id(S))
+    if entry is not None and entry[0] is S:
+        decomp = entry[1]
     else:
-        raise ValueError("decomposition needs (sub-)markovian rows or a "
-                         f"generator, got kind {S.kind!r}")
+        decomp = _build_decomposition(S, *form)
+        if memo is not None:
+            memo[id(S)] = (S, decomp)
+    if verify:
+        _check_projector(decomp, *form)
+    return decomp
+
+
+def _build_decomposition(S, A, shift, lam, sub) -> ErgodicDecomposition:
     n = S.size
 
     def rate_block(idx):
@@ -215,8 +261,10 @@ def decompose(S, verify: bool = True) -> ErgodicDecomposition:
                         for idx in classes], axis=1)
         absorption[transient, :] = np.linalg.solve(-rate_block(transient),
                                                    rhs)
+    # a run shares one decomposition among its callers
+    absorption.setflags(write=False)
 
-    decomp = ErgodicDecomposition(
+    return ErgodicDecomposition(
         space=S.space,
         classes=tuple(StateSet(S.space, idx) for idx in classes),
         class_measures=tuple(Measure(S.space, w) for w in laws),
@@ -224,20 +272,21 @@ def decompose(S, verify: bool = True) -> ErgodicDecomposition:
         absorption=absorption,
     )
 
-    if verify:
-        pi = decomp.projector()
-        for name, gap in (
-            ("Pi P = Pi", (pi @ A - shift * pi) / lam),
-            ("P Pi = Pi", (A @ pi - shift * pi) / lam),
-            ("Pi Pi = Pi", pi @ pi - pi),
-        ):
-            err = np.abs(gap).max()
-            if err > 1e-10:
-                raise ArithmeticError(f"projector identity {name} off by {err:.3e}")
-        err = np.abs(pi.sum(axis=1) - 1.0).max()
-        if not sub and err > 1e-10:
-            raise ArithmeticError(f"projector rows miss mass one by {err:.3e}")
-    return decomp
+
+def _check_projector(decomp, A, shift, lam, sub) -> None:
+    """decompose's verify=True checks on the projector of decomp."""
+    pi = decomp.projector()
+    for name, gap in (
+        ("Pi P = Pi", (pi @ A - shift * pi) / lam),
+        ("P Pi = Pi", (A @ pi - shift * pi) / lam),
+        ("Pi Pi = Pi", pi @ pi - pi),
+    ):
+        err = np.abs(gap).max()
+        if err > 1e-10:
+            raise ArithmeticError(f"projector identity {name} off by {err:.3e}")
+    err = np.abs(pi.sum(axis=1) - 1.0).max()
+    if not sub and err > 1e-10:
+        raise ArithmeticError(f"projector rows miss mass one by {err:.3e}")
 
 
 def averaging_projector(S) -> np.ndarray:

@@ -1,5 +1,6 @@
 """End-to-end pipeline runs and the four-way equivalence summary."""
 
+import contextlib
 import json
 
 import numpy as np
@@ -250,6 +251,35 @@ def _count_calls(monkeypatch, calls, module, name):
     monkeypatch.setattr(module, name, counted)
 
 
+OU_ALL_STAGES = {"type": "pipeline-config",
+                 "scenario": {"id": "ou_grid", "params": {"n": 21}},
+                 "steps": list(DEFAULT_STEPS) + ["convergence", "harnack"]}
+BD_DECOMPOSING_STAGES = {"type": "pipeline-config",
+                         "scenario": {"id": "birth_death",
+                                      "params": {"n": 30}},
+                         "steps": ["invariant", "convergence", "harnack"]}
+
+
+def _capture_kernels(monkeypatch):
+    """The kernels of the scenarios a run generates, in order."""
+    kernels = []
+    real = pipeline.generate
+
+    def kept(scenario):
+        bundle = real(scenario)
+        kernels.append(bundle.kernel)
+        return bundle
+
+    monkeypatch.setattr(pipeline, "generate", kept)
+    return kernels
+
+
+def _report_without_timing(config) -> str:
+    doc = run_pipeline(config).to_doc()
+    doc.pop("timing")
+    return json.dumps(doc, sort_keys=True)
+
+
 class TestSharedEvidence:
     def test_four_way_computes_the_projector_once(self, monkeypatch):
         calls = {}
@@ -283,6 +313,69 @@ class TestSharedEvidence:
         K = generate(rep.scenario).kernel
         alone = four_way_verdicts(K, Measure(K.space, m), horizon=64)
         assert rep.profiles["four_way"] == alone
+
+    def test_pipeline_decomposes_each_system_once(self, monkeypatch):
+        # ou_grid also decomposes while its scenario is generated;
+        # each real build runs the strong-component search once
+        calls = {}
+        _count_calls(monkeypatch, calls, solver, "_strong_components")
+        for config in (OU_ALL_STAGES, BD_DECOMPOSING_STAGES):
+            calls.clear()
+            assert run_pipeline(config).errors == []
+            assert calls == {"_strong_components": 1}
+
+    @pytest.mark.parametrize("broken", [None, "_four_way", "Evidence"],
+                             ids=["returned", "stage_raised", "run_raised"])
+    def test_sharing_ends_with_the_run(self, monkeypatch, broken):
+        # a failing _four_way is recorded by its stage; a failing
+        # Evidence escapes the run after the scenario was decomposed
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        if broken is not None:
+            monkeypatch.setattr(pipeline, broken, boom)
+        kernels = _capture_kernels(monkeypatch)
+        calls = {}
+        _count_calls(monkeypatch, calls, solver, "_strong_components")
+        if broken == "Evidence":
+            with pytest.raises(RuntimeError, match="boom"):
+                run_pipeline(OU_ALL_STAGES)
+        else:
+            errors = run_pipeline(OU_ALL_STAGES).errors
+            assert errors == ([] if broken is None
+                              else ["almost-invariance: boom"])
+        [K] = kernels
+        calls.clear()
+        solver.decompose(K)
+        assert calls == {"_strong_components": 1}
+
+    def test_four_way_verdicts_never_shares(self, monkeypatch):
+        calls = {}
+        _count_calls(monkeypatch, calls, solver, "_strong_components")
+        K, m = equivalence_pair(np.random.default_rng(3), 0)
+        four_way_verdicts(K, m, horizon=64)
+        four_way_verdicts(K, m, horizon=64)
+        assert calls == {"_strong_components": 2}
+
+    def test_shared_decomposition_is_still_verified(self):
+        # absorption weights of a slow leak miss mass one by about 5e-8
+        eps = 1e-9
+        K = Kernel(StateSpace.range(3), [[0.5, 0.5 - eps, eps],
+                                         [0.5, 0.5 - eps, eps],
+                                         [0.0, 0.0, 1.0]])
+        with solver._shared_decompositions():
+            solver.decompose(K, verify=False)
+            with pytest.raises(ArithmeticError,
+                               match="projector rows miss mass one"):
+                solver.decompose(K)
+
+    @pytest.mark.parametrize("config", [OU_ALL_STAGES, BD_DECOMPOSING_STAGES],
+                             ids=["ou_grid", "birth_death"])
+    def test_same_report_with_sharing_off(self, monkeypatch, config):
+        shared = _report_without_timing(config)
+        monkeypatch.setattr(pipeline, "_shared_decompositions",
+                            contextlib.nullcontext)
+        assert _report_without_timing(config) == shared
 
 
 class TestEmission:
