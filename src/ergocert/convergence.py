@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Kernel, Measure, power, push, state_index, state_values
+from .core import (Kernel, Measure, _span_product, power, push, state_index,
+                   state_values)
 from .semigroup import last_row, mean_rows
 from .solver import averaging_projector
 
@@ -108,6 +109,8 @@ def decay_report(P: Kernel, m: Measure, V, n_grid=DEFAULT_GRID) -> DecayReport:
 
     A horizon twice the preceding one, when that is a power of two, squares
     its power, which is how power(P, n) builds it; any other calls power.
+    Either way the products skip the structural zeros of banded and block
+    powers.
     """
     ns = tuple(int(n) for n in n_grid)
     if not ns or any(n < 1 for n in ns):
@@ -118,7 +121,7 @@ def decay_report(P: Kernel, m: Measure, V, n_grid=DEFAULT_GRID) -> DecayReport:
     rows, at = None, 0
     for n in ns:
         if n == 2 * at and at & (at - 1) == 0:
-            rows = rows @ rows
+            rows = _span_product(rows, rows)
         elif n != at:
             rows = None  # free the previous power before building this one
             rows = power(P, n).rows

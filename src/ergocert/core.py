@@ -413,8 +413,67 @@ def push(m: Measure, K: Kernel) -> Measure:
     return Measure(K.space, m.weights @ K.rows)
 
 
+PANEL = 128
+SPAN_SHARE = 0.6
+
+
+def _row_spans(M: np.ndarray):
+    """First and one-past-last nonzero column of each row of M.
+
+    An all-zero row gets the empty span (M.shape[1], 0), so it drops out
+    of the minimum and maximum taken over a panel.
+    """
+    nz = M != 0.0
+    width = M.shape[1]
+    first = nz.argmax(axis=1)
+    hit = nz[np.arange(M.shape[0]), first]
+    first = np.where(hit, first, width)
+    last = np.where(hit, width - nz[:, ::-1].argmax(axis=1), 0)
+    return first, last
+
+
+def _span_product(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """L @ R, skipping the structural zeros of banded and block operands.
+
+    Each panel of PANEL rows of L is multiplied only over [c0, c1), the
+    nonzero columns of its rows, and into [d0, d1), the nonzero columns
+    of rows c0..c1 of R. The skipped terms are exact zeros, so for finite
+    operands the result differs from L @ R only by summation order. Small
+    operands (at most 2 * PANEL rows) and operands whose spanned work
+    exceeds SPAN_SHARE of the dense work take a single L @ R.
+    """
+    n = L.shape[0]
+    if n <= 2 * PANEL:
+        return L @ R
+    l_first, l_last = _row_spans(L)
+    r_first, r_last = (l_first, l_last) if R is L else _row_spans(R)
+    starts = np.arange(0, n, PANEL)
+    c0s = np.minimum.reduceat(l_first, starts)
+    c1s = np.maximum.reduceat(l_last, starts)
+    blocks = []
+    work = 0
+    for r0, c0, c1 in zip(starts.tolist(), c0s.tolist(), c1s.tolist()):
+        if c0 >= c1:
+            continue  # every row of the panel is zero
+        d0, d1 = int(r_first[c0:c1].min()), int(r_last[c0:c1].max())
+        if d0 >= d1:
+            continue  # the rows of R it meets are zero
+        r1 = min(r0 + PANEL, n)
+        blocks.append((r0, r1, c0, c1, d0, d1))
+        work += (r1 - r0) * (c1 - c0) * (d1 - d0)
+    if work > SPAN_SHARE * n * L.shape[1] * R.shape[1]:
+        return L @ R
+    out = np.zeros((n, R.shape[1]))
+    for r0, r1, c0, c1, d0, d1 in blocks:
+        np.matmul(L[r0:r1, c0:c1], R[c0:c1, d0:d1], out=out[r0:r1, d0:d1])
+    return out
+
+
 def power(K: Kernel, n: int) -> Kernel:
-    """n-step kernel by binary exponentiation. power(K, 0) is the identity."""
+    """n-step kernel by binary exponentiation. power(K, 0) is the identity.
+
+    Products skip the structural zeros of banded and block powers.
+    """
     n = int(n)
     if n < 0:
         raise ValueError("power requires n >= 0")
@@ -425,10 +484,11 @@ def power(K: Kernel, n: int) -> Kernel:
     base = K.rows
     while n:
         if n & 1:
-            result = base.copy() if result is None else result @ base
+            result = (base.copy() if result is None
+                      else _span_product(result, base))
         n >>= 1
         if n:
-            base = base @ base
+            base = _span_product(base, base)
     return Kernel(K.space, result, kind=K.kind, on_rowsum="renormalize")
 
 
@@ -442,12 +502,12 @@ def _cesaro_and_power(rows: np.ndarray, n: int):
         return np.eye(rows.shape[0]), rows.copy()
     half, odd = divmod(n, 2)
     s_half, p_half = _cesaro_and_power(rows, half)
-    s = 0.5 * (s_half + p_half @ s_half)
-    p = p_half @ p_half
+    s = 0.5 * (s_half + _span_product(p_half, s_half))
+    p = _span_product(p_half, p_half)
     if odd:
         # S_{2h+1} = (2h S_{2h} + P^{2h}) / (2h + 1)
         s = (2 * half * s + p) / (2 * half + 1)
-        p = p @ rows
+        p = _span_product(p, rows)
     return s, p
 
 

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Kernel, StateFn, StateSet, _combined_kind, dirac,
-                   identity, push, state_index, state_mask, state_values)
+from .core import (Kernel, StateFn, StateSet, _combined_kind, _span_product,
+                   dirac, identity, push, state_index, state_mask,
+                   state_values)
 from .semigroup import auxiliary_measure
 from .solver import solve_cesaro_adjoint
 from .certificates.drift import (_concentration, _kernel_image,
@@ -473,7 +474,7 @@ def diagnose_lazy_atoms(P: Kernel, spec: PerturbationSpec, C=None,
                             float(np.abs(diag[exact_cols]
                                          - lower[exact_cols]).max()))
         if n < LAZY_N_MAX:
-            pow_rows = pow_rows @ mixed.rows
+            pow_rows = _span_product(pow_rows, mixed.rows)
     loopless = np.flatnonzero(np.diagonal(P.rows) == 0.0)
     one_step = float(np.abs(np.diagonal(mixed.rows)[loopless]
                             - lazy[loopless]).max()) if loopless.size else 0.0

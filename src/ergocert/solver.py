@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Kernel, Measure, StateFn, StateSet, push
+from .core import Kernel, Measure, StateFn, StateSet, _span_product, push
 from .semigroup import Generator
 
 __all__ = [
@@ -336,7 +336,9 @@ def solve_cesaro_adjoint(K: Kernel, m: Measure) -> InvariantResult:
     at each squaring that drops an entry, is added to the slack of
     both proof-step checks and reported as "flush_bound", beside the
     number of "flushed_entries". The flush keeps the products free of
-    the subnormal numbers that slow a matrix product tenfold.
+    the subnormal numbers that slow a matrix product tenfold. Each
+    squaring skips the structural zeros of a banded or block power,
+    so its cost follows the nonzero spans of the rows of A^n.
     """
     mass_total = m.mass
     if mass_total <= 0:
@@ -382,7 +384,7 @@ def solve_cesaro_adjoint(K: Kernel, m: Measure) -> InvariantResult:
         prev_extr = extr
         f = f_next
         if j < MAX_DOUBLINGS:
-            pow_rows = pow_rows @ pow_rows
+            pow_rows = _span_product(pow_rows, pow_rows)
             if flush:
                 low = (pow_rows < row_floor) | (pow_rows < col_floor)
                 low &= pow_rows > 0.0

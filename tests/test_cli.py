@@ -408,3 +408,13 @@ class TestUsageAndEnvironment:
             capture_output=True, text=True)
         assert out.returncode == 0
         assert (tmp_path / "b" / "kernel.json").exists()
+
+    def test_package_runs_as_a_module(self, tmp_path):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run(
+            [sys.executable, "-m", "ergocert", "gen",
+             "--scenario", "two_state", "--out-dir", str(tmp_path / "b")],
+            capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert (tmp_path / "b" / "kernel.json").exists()

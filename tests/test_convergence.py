@@ -6,8 +6,9 @@ from numpy.testing import assert_allclose
 
 from ergocert import convergence
 from ergocert.core import Kernel, Measure, StateFn, StateSpace
-from ergocert.scenarios import birth_death
+from ergocert.scenarios import birth_death, block_chain
 from ergocert.semigroup import last_row, mean_rows
+from ergocert.solver import solve_eigen
 from ergocert.convergence import (
     cesaro_limit_check,
     decay_report,
@@ -126,6 +127,20 @@ class TestDecayReport:
         K, m = random_ergodic(np.random.default_rng(8), 20)
         decay_report(K, m, np.zeros(20))
         assert len(calls) <= 1
+
+    @pytest.mark.parametrize("case", ["birth_death", "block_chain"])
+    def test_dense_products_agree(self, case, monkeypatch):
+        if case == "birth_death":
+            bundle = birth_death(600, 0.7)
+            K, m, V = bundle.kernel, bundle.m, bundle.V
+        else:
+            K = block_chain(k=4, block_size=150).kernel
+            laws = sum(r.nu.normalized().weights for r in solve_eigen(K))
+            m, V = Measure(K.space, laws / 4), np.zeros(600)
+        spanned = decay_report(K, m, V)
+        monkeypatch.setattr(convergence, "_span_product", np.matmul)
+        dense = decay_report(K, m, V)
+        assert_allclose(spanned.norms, dense.norms, rtol=1e-12, atol=0.0)
 
     def test_grid_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from ergocert import core
 from ergocert.core import (
+    PANEL,
     AbsoluteContinuityError,
     Kernel,
     Measure,
@@ -21,6 +23,7 @@ from ergocert.core import (
     power,
     push,
 )
+from ergocert.scenarios import birth_death, block_chain, lazy_cycle, ou_grid
 
 S2 = StateSpace.range(2)
 
@@ -242,3 +245,84 @@ def test_stateset_helpers():
 def test_identity_kernel():
     sp = StateSpace.range(3)
     assert_allclose(identity(sp).rows, np.eye(3))
+
+
+class TestSpanProduct:
+    """core._span_product against the dense product L @ R."""
+
+    @pytest.fixture
+    def panels(self, monkeypatch):
+        # the span path multiplies panels by np.matmul, the fallback by @
+        calls = []
+        real = np.matmul
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        return calls
+
+    @staticmethod
+    def check(L, R):
+        dense = L @ R
+        spanned = core._span_product(L, R)
+        assert spanned.shape == dense.shape
+        assert np.abs(spanned - dense).max() <= 1e-14 * np.abs(dense).max()
+        structural = ((L != 0.0).astype(float) @ (R != 0.0)) == 0.0
+        assert (dense[structural] == 0.0).all()
+        assert (spanned[structural] == 0.0).all()
+        return spanned, dense
+
+    def test_banded_birth_death_power(self, panels):
+        P = birth_death(600, 0.7).kernel
+        L = power(P, 8).rows
+        self.check(L, L)
+        assert panels  # the band is narrow, so the panels ran
+
+    def test_block_chain_kernel(self, panels):
+        K = block_chain(k=4, block_size=150).kernel.rows
+        self.check(K, K)
+        assert panels
+
+    def test_lazy_cycle_with_corner_entries(self, panels):
+        K = lazy_cycle(600).kernel
+        assert K.rows[-1, 0] > 0.0 and K.rows[0, -1] == 0.0
+        self.check(power(K, 4).rows, K.rows)
+        assert panels
+
+    def test_zero_rows_and_columns(self, panels):
+        L = power(birth_death(600, 0.7).kernel, 3).rows.copy()
+        R = L.copy()
+        L[:PANEL] = 0.0         # a whole panel of zero rows
+        L[300] = 0.0
+        L[:, 450:470] = 0.0     # columns of L that meet rows of R
+        R[200:260] = 0.0        # rows of R that a panel meets
+        R[:, 500] = 0.0
+        spanned, _ = self.check(L, R)
+        assert (spanned[:PANEL] == 0.0).all()
+        assert (spanned[300] == 0.0).all()
+        assert (spanned[:, 500] == 0.0).all()
+        assert panels
+
+    def test_zero_matrix(self):
+        Z = np.zeros((600, 600))
+        assert (core._span_product(Z, Z) == 0.0).all()
+
+    def test_sub_markovian_kernel(self, panels):
+        killing = np.linspace(1.0, 0.5, 600)[:, None]
+        rows = birth_death(600, 0.7).kernel.rows * killing
+        K = Kernel(StateSpace.range(600), rows, kind="sub-markovian")
+        self.check(power(K, 5).rows, K.rows)
+        assert panels
+
+    def test_small_operands_take_one_dense_product(self, panels):
+        n = 2 * PANEL
+        L = power(birth_death(n, 0.7).kernel, 4).rows
+        assert np.array_equal(core._span_product(L, L), L @ L)
+        assert not panels
+
+    def test_full_rows_take_one_dense_product(self, panels):
+        K = ou_grid(300).kernel.rows
+        assert np.array_equal(core._span_product(K, K), K @ K)
+        assert not panels

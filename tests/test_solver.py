@@ -322,6 +322,27 @@ class TestCesaroSupportBlock:
         assert_array_equal(res.density.values, [1.0, 1.0, 0.0])
 
 
+class TestSpanProductOracle:
+    """The doubling with every product dense gives the same answer."""
+
+    @pytest.mark.parametrize("case", ["birth_death", "block_chain"])
+    def test_dense_products_agree(self, case, monkeypatch):
+        if case == "birth_death":
+            K = birth_death(600, 0.7).kernel
+            m = Measure(K.space, np.full(600, 1 / 600))
+        else:
+            bundle = block_chain(k=4, block_size=150)
+            K, m = bundle.kernel, bundle.m
+        spanned = solve_cesaro_adjoint(K, m)
+        monkeypatch.setattr(solver, "_span_product", np.matmul)
+        dense = solve_cesaro_adjoint(K, m)
+        assert spanned.iterations == dense.iterations
+        for key in ("mode", "flushed_entries"):
+            assert spanned.diagnostics[key] == dense.diagnostics[key]
+        gap = np.abs(spanned.density.values - dense.density.values)
+        assert gap @ m.weights <= 1e-12 * (dense.density.values @ m.weights)
+
+
 class TestSolveContinuous:
     def test_symmetric_pair(self):
         G = Generator(S2, [[-1.0, 1.0], [1.0, -1.0]])
