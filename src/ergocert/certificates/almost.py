@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..core import Kernel, Measure, StateSet
+from ..core import Kernel, Measure, StateSet, _require_positive_mass, adjoint
 from ..semigroup import (Generator, _running_means, auxiliary_measure,
                          resolvent)
 from ..solver import averaging_projector
@@ -65,11 +65,6 @@ _NORM_MAXIT = 2000
 
 def _labels(space, idx):
     return [space.labels[int(i)] for i in idx]
-
-
-def _require_positive_mass(m: Measure):
-    if m.mass <= 0.0:
-        raise ValueError("reference measure must have positive mass")
 
 
 @dataclass(frozen=True, eq=False)
@@ -710,7 +705,7 @@ def lp_operator_norm(K: Kernel, m: Measure, p: float):
     if p < 1:
         raise ValueError("p must be at least 1")
     pm1 = p - 1.0
-    adj = (rows * w[:, None]).T / w[:, None]
+    adj = adjoint(K, m).rows
     f = np.ones(K.size) / m.mass ** (1.0 / p)
     prev = -np.inf
     val = 0.0

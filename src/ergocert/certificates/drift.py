@@ -21,8 +21,8 @@ import math
 
 import numpy as np
 
-from ..core import (Kernel, Measure, StateFn, apply, dirac, state_mask,
-                    state_values)
+from ..core import (Kernel, Measure, StateFn, _require_positive_mass, apply,
+                    dirac, state_mask, state_values)
 from ..semigroup import auxiliary_measure, last_row, mean_rows, power_rows
 from ..solver import averaging_projector
 from .almost import (Evidence, check_absolute_continuity,
@@ -366,8 +366,7 @@ def check_dominated_rows(P: Kernel, m: Measure, L: float, gamma_fn, C,
         raise ValueError("need 1 <= n0 <= N")
     g_vals = state_values(P.space, gamma_fn, "gamma_fn", low=0.0, finite=True)
     mask_C = state_mask(P.space, C)
-    if m.mass <= 0.0:
-        raise ValueError("reference measure must have positive mass")
+    _require_positive_mass(m)
 
     tol = _ptol([L * m.mass], g_vals)
     worst_gap = -np.inf
@@ -452,8 +451,7 @@ def _concentration(P: Kernel, m: Measure, params: AlmostInvarianceParams,
     caller that needs m o R again passes cached and shares."""
     if not 0.0 <= params.delta < 1.0:
         raise ValueError("delta must lie in [0, 1)")
-    if m.mass <= 0.0:
-        raise ValueError("reference measure must have positive mass")
+    _require_positive_mass(m)
     mask_C = state_mask(P.space, C)
     N, n0 = params.horizon, params.n0
 

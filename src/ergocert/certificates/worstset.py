@@ -46,11 +46,10 @@ __all__ = [
 ]
 
 
-def _as_weights(m, n=None):
+def _as_weights(m):
     if isinstance(m, Measure):
         return m.weights
-    w = np.asarray(m, dtype=float).reshape(-1)
-    return w
+    return np.asarray(m, dtype=float).reshape(-1)
 
 
 def signed_excess(row, base, c: float) -> float:

@@ -81,6 +81,11 @@ class StateSpace:
         return f"StateSpace({self.size} states)"
 
 
+def _require_positive_mass(m: "Measure") -> None:
+    if m.mass <= 0.0:
+        raise ValueError("reference measure must have positive mass")
+
+
 def _check_same_space(a, b):
     if a.space != b.space:
         raise SpaceMismatchError(
@@ -382,8 +387,9 @@ def _combined_kind(a: str, b: str) -> str:
 def matmul(K: Kernel, L: Kernel) -> Kernel:
     """Composition: one step of K followed by one step of L."""
     _check_same_space(K, L)
-    return Kernel(K.space, K.rows @ L.rows, kind=_combined_kind(K.kind, L.kind),
-                  on_rowsum="renormalize" if _combined_kind(K.kind, L.kind) == "markovian" else "reject")
+    kind = _combined_kind(K.kind, L.kind)
+    return Kernel(K.space, K.rows @ L.rows, kind=kind,
+                  on_rowsum="renormalize" if kind == "markovian" else "reject")
 
 
 def apply(K: Kernel, f: StateFn) -> StateFn:
@@ -526,8 +532,7 @@ def adjoint(K: Kernel, m: Measure) -> Kernel:
 
     Satisfies the duality m(f * adjoint(K,m) g) = m(g * K f). The kernel
     must respect m-null sets: any flow of m-mass into an m-null atom raises
-    AbsoluteContinuityError naming the atom. solve_cesaro_adjoint, which
-    drops that flow, forms the support block of the adjoint itself.
+    AbsoluteContinuityError naming the atom.
     """
     _check_same_space(K, m)
     w = m.weights

@@ -127,7 +127,7 @@ def four_way_verdicts(P: Kernel, m: Measure, horizon: int = 96) -> dict:
     almost: linear almost invariance at the optimal constants has
     leakage below one. mean: same for running averages. index: the
     small-cap occupation index stays below the total mass. solver: the
-    averaged adjoint construction returns a nonzero measure. On a finite
+    Cesaro-average construction returns a nonzero measure. On a finite
     model these must agree; the dict carries the booleans, the numbers
     behind them, and the agreement flag. A passing leakage whose
     certificate then fails to verify indicates an internal bug and

@@ -7,7 +7,10 @@ invariant probability (one per closed class that keeps its mass),
 regardless of any reference measure. solve_cesaro_adjoint starts from a
 reference measure m and produces the largest invariant measure
 absolutely continuous w.r.t. m, which is legitimately the zero measure
-when no mass survives inside supp(m).
+when no mass survives inside supp(m). It averages the measures m K^k
+on supp(m) by repeated squaring of the kernel, in kernel scale, with one
+absolute floor FLUSH_TOL on the entries of each power; the density
+nu / m is read off the limit, not iterated.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Kernel, Measure, StateFn, StateSet, _span_product, push
+from .core import (Kernel, Measure, StateFn, StateSet, _require_positive_mass,
+                   _span_product, push)
 from .semigroup import Generator
 
 __all__ = [
@@ -312,113 +316,104 @@ def solve_eigen(K: Kernel) -> tuple[InvariantResult, ...]:
 
 
 def solve_cesaro_adjoint(K: Kernel, m: Measure) -> InvariantResult:
-    """Constructive invariant density via averaged adjoint iterates.
+    """Constructive invariant measure as the limit of Cesaro averages.
 
-    Runs f_n = (1/n) sum_{k<n} (P*)^k 1 on doubling horizons n = 2^j,
-    up to MAX_DOUBLINGS of them, with Richardson extrapolation
-    2 f_{2n} - f_n to absorb the O(1/n) term; the plain iterate settles
-    once its step falls to CESARO_TOL, the extrapolated one at a tenth
-    of that. The limit rho is a sub-invariant density; nu = rho . m is
-    invariant. Mass that the dynamics push out of supp(m) dies in the
-    averages, so the zero measure is a legitimate outcome and is
-    reported with its decay diagnostics rather than an error.
+    Runs nu_n = (1/n) sum_{k<n} m K_S^k on doubling horizons n = 2^j,
+    nu_{2n} = (nu_n + nu_n K_S^n) / 2, up to MAX_DOUBLINGS of them, with
+    Richardson extrapolation 2 nu_{2n} - nu_n to absorb the O(1/n) term;
+    the plain iterate settles once its step falls to CESARO_TOL in l1
+    relative to m's mass, the extrapolated one at a tenth of that. K_S
+    is K on supp(m) x supp(m): mass that the dynamics push out of supp(m)
+    dies in the averages, so the zero measure is a legitimate outcome
+    and is reported with its decay diagnostics rather than an error. The
+    density rho = nu / m is the adjoint iterate (1/n) sum_{k<n} (P*)^k 1
+    in L^1(m); it is exactly 0 off supp(m).
 
-    The adjoint A(a, x) = m(x) K(x, a) / m(a) vanishes off supp(m), so
-    the doubling runs on its support block and rho is exactly 0 off the
-    support. For a (sub-)markovian K each fresh power A^n is flushed:
-    an entry is set to zero where it lies below
-    FLUSH_TOL * m_min / m(a) or below FLUSH_TOL * m(x) / m_max, with
-    m_min and m_max taken over the support. Either test means
-    K^n(x, a) < FLUSH_TOL, so the dropped part has norm below
-    |supp| * FLUSH_TOL on L^1(m), where every power of A has norm at
-    most 1 because m A <= m. The compounded bound E <- 2E + E^2 +
-    |supp| * FLUSH_TOL on the distance from the exact power, counted
-    at each squaring that drops an entry, is added to the slack of
-    both proof-step checks and reported as "flush_bound", beside the
-    number of "flushed_entries". The flush keeps the products free of
-    the subnormal numbers that slow a matrix product tenfold. Each
-    squaring skips the structural zeros of a banded or block power,
-    so its cost follows the nonzero spans of the rows of A^n.
+    For a (sub-)markovian K each fresh power K_S^n is flushed: entries
+    below FLUSH_TOL are set to zero. K_S^n is substochastic, so the
+    dropped part moves any measure by at most |supp| * FLUSH_TOL of its
+    mass. The compounded bound E <- 2E + E^2 + |supp| * FLUSH_TOL on the
+    distance from the exact power, counted at each squaring that drops
+    an entry, is added to the slack of both proof-step checks and
+    reported as "flush_bound", beside the number of "flushed_entries".
+    The flush keeps the products free of the subnormal numbers that
+    slow a matrix product tenfold. Each squaring skips the structural
+    zeros of a banded or block power, so its cost follows the nonzero
+    spans of the rows of K_S^n.
     """
+    _require_positive_mass(m)
     mass_total = m.mass
-    if mass_total <= 0:
-        raise ValueError("reference measure must have positive mass")
     supp = m.support
     mw = m.weights[supp]
-    # A(a, x) = m(x) K(x, a) / m(a) on the support block
-    A = np.divide((K.rows[np.ix_(supp, supp)] * mw[:, None]).T,
-                  mw[:, None], order="C")
     flush = K.kind != "general"
-    row_floor = FLUSH_TOL * (mw.min() / mw)[:, None]
-    col_floor = FLUSH_TOL * (mw / mw.max())
     drop_bound = supp.size * FLUSH_TOL
 
-    def l1m(vec):
-        return float(np.abs(vec) @ mw)
-
-    f = np.ones(supp.size)  # horizon 1
-    pow_rows = A            # A^(2^j), each a fresh product after the first
+    block = K.rows[np.ix_(supp, supp)]   # K_S
+    nu = mw                              # horizon 1
+    pow_rows = block                     # K_S^(2^j), fresh after the first
     prev_extr = None
     mode = "exhausted"
     deltas = []
-    masses = [l1m(f)]
+    masses = [float(nu.sum())]
     flushed = 0
     bound = 0.0
     j = 0
     for j in range(1, MAX_DOUBLINGS + 1):
-        f_next = 0.5 * (f + pow_rows @ f)
-        delta = l1m(f_next - f) / mass_total
+        nu_next = 0.5 * (nu + nu @ pow_rows)
+        delta = float(np.abs(nu_next - nu).sum()) / mass_total
         deltas.append(delta)
-        extr = 2.0 * f_next - f
-        masses.append(l1m(f_next))
+        extr = 2.0 * nu_next - nu
+        masses.append(float(nu_next.sum()))
         if delta <= CESARO_TOL:
-            f = f_next
+            nu = nu_next
             mode = "plain"
             break
         if prev_extr is not None:
-            edelta = l1m(extr - prev_extr) / mass_total
+            edelta = float(np.abs(extr - prev_extr).sum()) / mass_total
             if edelta <= 0.1 * CESARO_TOL:
-                f = np.clip(extr, 0.0, None)
+                nu = np.clip(extr, 0.0, None)
                 mode = "extrapolated"
                 break
         prev_extr = extr
-        f = f_next
+        nu = nu_next
         if j < MAX_DOUBLINGS:
             pow_rows = _span_product(pow_rows, pow_rows)
             if flush:
-                low = (pow_rows < row_floor) | (pow_rows < col_floor)
-                low &= pow_rows > 0.0
+                low = (pow_rows < FLUSH_TOL) & (pow_rows > 0.0)
                 dropped = int(np.count_nonzero(low))
                 pow_rows[low] = 0.0
                 flushed += dropped
                 bound = bound * (2.0 + bound) + drop_bound * (dropped > 0)
 
     converged = mode != "exhausted"
-    rs = np.clip(f, 0.0, None)
-    rho = np.zeros(K.size)
-    rho[supp] = rs
-    nu = Measure(K.space, rho * m.weights)
-    residual = float(np.abs(push(nu, K).weights - nu.weights).sum())
-
+    rs = nu / mw
     if converged:
         # the two proof steps, numerically: sub-invariance of the density,
         # then mass conservation forcing equality
-        slack = max(100.0 * CESARO_TOL,
-                    100.0 * (deltas[-1] if deltas else 0.0)) + bound
-        over = float(np.max((A @ rs - rs) / max(1.0, np.abs(rs).max())))
+        slack = 100.0 * max(CESARO_TOL, deltas[-1]) + bound
+        stepped = nu @ block
+        over = float(np.max((stepped / mw - rs) / max(1.0, rs.max())))
         if over > slack:
             raise ArithmeticError(
                 f"limit density is not sub-invariant (excess {over:.3e})")
-        gap = abs(l1m(A @ rs) - l1m(rs)) / mass_total
+        gap = abs(float(stepped.sum()) - float(nu.sum())) / mass_total
         if gap > slack:
             raise ArithmeticError(
-                f"adjoint does not conserve the limit mass (gap {gap:.3e})")
+                f"the kernel does not conserve the limit mass "
+                f"(gap {gap:.3e})")
+
+    weights = np.zeros(K.size)
+    weights[supp] = nu
+    rho = np.zeros(K.size)
+    rho[supp] = rs
+    nu_m = Measure(K.space, weights)
+    residual = float(np.abs(push(nu_m, K).weights - weights).sum())
 
     decay = None
     if len(masses) >= 3 and masses[-1] > 0 and masses[-3] > 0:
         decay = masses[-1] / masses[-3]
     return InvariantResult(
-        nu=nu,
+        nu=nu_m,
         density=StateFn(K.space, rho),
         residual=residual,
         method="cesaro-adjoint",

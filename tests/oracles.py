@@ -87,9 +87,9 @@ def killed_cesaro_limit(K, m):
     """m Pi_S, where Pi_S is the averaging projector of K with every
     column outside supp(m) set to zero.
 
-    The averaged adjoint iterates of K w.r.t. m only see K on supp(m),
-    so their limit density times m is the Cesaro limit of m K_S^n under
-    the killed kernel K_S: mass that leaves supp(m) dies.
+    The solver averages m K_S^k, with K seen only on supp(m), so its
+    limit is the Cesaro limit of m under the killed kernel K_S: mass
+    that leaves supp(m) dies.
     """
     killed = np.where(m.weights > 0.0, K.rows, 0.0)
     return m.weights @ averaging_projector(

@@ -303,15 +303,42 @@ class TestCesaroSupportBlock:
         assert_allclose(res.nu.mass, 40.0, rtol=1e-12)
         assert (res.density.values[w == 0.0] == 0.0).all()
 
+    @staticmethod
+    def harnack_reference(n, p_down):
+        """The harnack stage's reference: the row at 0 smoothed by R."""
+        K = birth_death(n, p_down).kernel
+        return K, auxiliary_measure(K, push(dirac(K.space, 0), K))
+
     def test_reference_with_subnormal_atoms(self):
-        # the harnack stage's reference: the row at 0 smoothed by R
-        K = birth_death(400, 0.7).kernel
-        m = auxiliary_measure(K, push(dirac(K.space, 0), K))
+        K, m = self.harnack_reference(400, 0.7)
         assert (m.weights > 0.0).all()
         assert (m.weights < np.finfo(float).tiny).any()
         res, gap = self.solve(K, m)
         assert res.converged
         assert gap <= 2e-12
+
+    def test_flush_within_its_bound_on_subnormal_reference(self,
+                                                           monkeypatch):
+        K, m = self.harnack_reference(600, 0.55)
+        assert (m.weights[m.support] < np.finfo(float).tiny).any()
+        flushed = solve_cesaro_adjoint(K, m)
+        assert flushed.diagnostics["flushed_entries"] > 0
+        monkeypatch.setattr(solver, "FLUSH_TOL", 0.0)
+        exact = solve_cesaro_adjoint(K, m)
+        assert exact.diagnostics["flushed_entries"] == 0
+        assert flushed.iterations == exact.iterations
+        assert flushed.diagnostics["mode"] == exact.diagnostics["mode"]
+        gap = np.abs(flushed.nu.weights - exact.nu.weights).sum()
+        assert gap <= flushed.diagnostics["flush_bound"] + 1e-12
+
+    @pytest.mark.xfail(strict=True, raises=ArithmeticError,
+                       reason="FOUND 26: the density-scale check divides "
+                              "by the subnormal atom m(a) = 3.5e-323")
+    def test_harnack_reference_of_a_steep_chain_solves(self):
+        K, m = self.harnack_reference(300, 0.9)
+        res = solve_cesaro_adjoint(K, m)
+        assert res.converged
+        assert_allclose(res.nu.mass, 1.0, rtol=1e-9)
 
     def test_density_vanishes_off_the_support_in_plain_mode(self):
         # m is invariant on the swap {0, 1}, so the plain iterate settles
