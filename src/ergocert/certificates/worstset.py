@@ -97,7 +97,7 @@ def worst_set_search(row, base, phi) -> WorstSet:
 
     free_value = float(r[free].sum())
     best_value = free_value - float(phi(0.0))
-    best_members = tuple(int(i) for i in free)
+    best_members = tuple(free.tolist())
 
     if paid.size:
         order = paid[np.argsort(-(r[paid] / b[paid]), kind="stable")]
@@ -107,8 +107,8 @@ def worst_set_search(row, base, phi) -> WorstSet:
         k = int(np.argmax(vals))
         if vals[k] > best_value:
             best_value = float(vals[k])
-            best_members = tuple(sorted(int(i) for i in
-                                        np.concatenate([free, order[:k + 1]])))
+            best_members = tuple(
+                np.sort(np.concatenate([free, order[:k + 1]])).tolist())
     return WorstSet(value=best_value, members=best_members)
 
 

@@ -438,6 +438,15 @@ def _row_spans(M: np.ndarray):
     return first, last
 
 
+def _full_rows(M: np.ndarray) -> bool:
+    """True when the first and last column of M are nonzero in every row.
+
+    Every row then spans all columns, which _row_spans would find only
+    after a full scan of M.
+    """
+    return bool((M[:, 0] != 0.0).all() and (M[:, -1] != 0.0).all())
+
+
 def _span_product(L: np.ndarray, R: np.ndarray) -> np.ndarray:
     """L @ R, skipping the structural zeros of banded and block operands.
 
@@ -445,11 +454,12 @@ def _span_product(L: np.ndarray, R: np.ndarray) -> np.ndarray:
     nonzero columns of its rows, and into [d0, d1), the nonzero columns
     of rows c0..c1 of R. The skipped terms are exact zeros, so for finite
     operands the result differs from L @ R only by summation order. Small
-    operands (at most 2 * PANEL rows) and operands whose spanned work
-    exceeds SPAN_SHARE of the dense work take a single L @ R.
+    operands (at most 2 * PANEL rows), operands whose rows all span every
+    column and operands whose spanned work exceeds SPAN_SHARE of the
+    dense work take a single L @ R.
     """
     n = L.shape[0]
-    if n <= 2 * PANEL:
+    if n <= 2 * PANEL or (_full_rows(L) and _full_rows(R)):
         return L @ R
     l_first, l_last = _row_spans(L)
     r_first, r_last = (l_first, l_last) if R is L else _row_spans(R)
@@ -473,6 +483,38 @@ def _span_product(L: np.ndarray, R: np.ndarray) -> np.ndarray:
     for r0, r1, c0, c1, d0, d1 in blocks:
         np.matmul(L[r0:r1, c0:c1], R[c0:c1, d0:d1], out=out[r0:r1, d0:d1])
     return out
+
+
+def _span_pushes(v: np.ndarray, M: np.ndarray, steps: int):
+    """Yield v M, v M^2, ..., v M^steps, skipping the structural zeros of M.
+
+    With [a, b) the nonzero hull of the current row and [c0, c1) the
+    columns spanned by rows a..b of M, each push is v[a:b] @ M[a:b, c0:c1]
+    and every other entry of the new row is an exact zero; the row spans
+    of M are taken once. Like _span_product, small kernels (at most
+    2 * PANEL rows), kernels whose rows all span every column and pushes
+    whose spanned work exceeds SPAN_SHARE of the dense work take v @ M.
+    """
+    n, width = M.shape
+    if n <= 2 * PANEL or _full_rows(M):
+        for _ in range(steps):
+            v = v @ M
+            yield v
+        return
+    first, last = _row_spans(M)
+    for _ in range(steps):
+        nz = np.flatnonzero(v)
+        a, b = (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
+        c0 = int(first[a:b].min(initial=width))
+        c1 = int(last[a:b].max(initial=0))
+        if (b - a) * (c1 - c0) > SPAN_SHARE * n * width:
+            v = v @ M
+        else:
+            out = np.zeros(width)
+            if c0 < c1:
+                np.matmul(v[a:b], M[a:b, c0:c1], out=out[c0:c1])
+            v = out
+        yield v
 
 
 def power(K: Kernel, n: int) -> Kernel:

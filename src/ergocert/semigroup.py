@@ -7,9 +7,12 @@ solve in auxiliary_measure, and the operators are formed only to be read.
 Time integrals use composite Simpson quadrature on an exact uniform grid.
 
 The one discrete chain lives here: power_rows yields m K^n and mean_rows
-sums those rows into m S_n, step by step. kb_measure, the almost-invariance
-evidence, the drift accounts, the row gaps and the Cesaro limit check all
-read them, and certificates.averages re-exports both.
+sums those rows into m S_n, step by step. Each push skips the structural
+zeros of the kernel: it reads only the rows of K where the current row is
+nonzero, and only the columns those rows reach. kb_measure, the
+almost-invariance evidence, the drift accounts, the row gaps and the
+Cesaro limit check all read them, and certificates.averages re-exports
+both.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .core import (
     StateSpace,
     _check_same_space,
     _frozen_array,
+    _span_pushes,
 )
 
 __all__ = [
@@ -103,11 +107,14 @@ Semigroup = Union[Kernel, Generator]
 
 
 def power_rows(K: Kernel, m: Measure, horizon: int):
-    """Yield (n, m composed with K^n) for n = 1..horizon."""
-    v = m.weights.astype(float)
-    for n in range(1, int(horizon) + 1):
-        v = v @ K.rows
-        yield n, v
+    """Yield (n, m composed with K^n) for n = 1..horizon.
+
+    Each push multiplies only the nonzero hull of the row by the columns
+    its rows of K reach, so it skips the structural zeros of banded and
+    block kernels (core._span_pushes).
+    """
+    pushes = _span_pushes(m.weights.astype(float), K.rows, int(horizon))
+    yield from enumerate(pushes, start=1)
 
 
 def mean_rows(K: Kernel, m: Measure, horizon: int, n0: int = 1):

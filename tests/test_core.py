@@ -322,7 +322,16 @@ class TestSpanProduct:
         assert np.array_equal(core._span_product(L, L), L @ L)
         assert not panels
 
-    def test_full_rows_take_one_dense_product(self, panels):
+    def test_full_rows_take_one_dense_product(self, panels, monkeypatch):
         K = ou_grid(300).kernel.rows
+        # the first and last column show every row is full: no span scan
+        monkeypatch.setattr(core, "_row_spans", None)
         assert np.array_equal(core._span_product(K, K), K @ K)
         assert not panels
+
+    def test_one_full_row_operand_still_scans_the_other(self, panels):
+        L = ou_grid(300).kernel.rows
+        R = np.zeros_like(L)
+        R[:, :40] = L[:, :40]   # every row of R ends at column 40
+        self.check(L, R)
+        assert panels

@@ -8,8 +8,8 @@ from ergocert.certificates.almost import check_occupation_half
 from ergocert.certificates.drift import (check_dominated_rows,
                                          check_drift_concentration)
 from ergocert.certificates.phi import AlmostInvarianceParams, PhiLinear
-from ergocert.core import (Kernel, Measure, StateSet, StateSpace, dirac, power,
-                           push)
+from ergocert.core import (PANEL, Kernel, Measure, StateSet, StateSpace, dirac,
+                           power, push)
 from ergocert.harnack import certify_harnack_pipeline
 from ergocert.semigroup import (
     Generator,
@@ -25,7 +25,8 @@ from ergocert.semigroup import (
     transition_at,
     uniformized,
 )
-from ergocert.scenarios import absorbing_pair, birth_death, block_chain
+from ergocert.scenarios import (absorbing_pair, birth_death, block_chain,
+                                lazy_cycle, ou_grid)
 from ergocert.solver import solve_continuous
 
 S2 = StateSpace.range(2)
@@ -366,6 +367,106 @@ class TestDiscreteChain:
                                   rows[-1][1])
             assert np.array_equal(last_row(mean_rows(self.K, self.mu, n)),
                                   rows[-1][1])
+
+    # Above 2 * PANEL states each push runs over the nonzero hull of the
+    # row and the columns its kernel rows reach.
+
+    @pytest.fixture
+    def spans(self, monkeypatch):
+        # a spanned push multiplies by np.matmul, the plain loop by @
+        calls = []
+        real = np.matmul
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        return calls
+
+    @staticmethod
+    def loop_rows(K, w, horizon):
+        v, rows = w.copy(), []
+        for _ in range(horizon):
+            v = v @ K.rows
+            rows.append(v)
+        return rows
+
+    def check_walk(self, spans, K, w, horizon=40):
+        """power_rows and mean_rows within 1e-14 of the plain loop, with
+        exact zeros wherever no path of the kernel reaches. Returns the
+        rows, the loop's rows and the count of spanned pushes."""
+        m = Measure(K.space, w)
+        ref = self.loop_rows(K, w, horizon)
+        before = len(spans)
+        got = list(power_rows(K, m, horizon))
+        spanned = len(spans) - before
+        assert [n for n, _ in got] == list(range(1, horizon + 1))
+        reach, edges = w != 0.0, (K.rows != 0.0).astype(float)
+        for (_, row), r in zip(got, ref):
+            reach = reach.astype(float) @ edges > 0.0
+            assert np.abs(row - r).max() <= 1e-14 * np.abs(r).max()
+            assert (row[~reach] == 0.0).all()
+        acc = np.zeros_like(w)
+        for (n, mean), v in zip(mean_rows(K, m, horizon), [w] + ref):
+            acc += v
+            assert np.abs(mean - acc / n).max() <= 1e-14 * np.abs(acc / n).max()
+        return [row for _, row in got], ref, spanned
+
+    def test_banded_walks_take_the_spanned_pushes(self, spans):
+        K = birth_death(600, 0.7).kernel
+        sparse = np.zeros(600)
+        sparse[[3, 150, 151, 300]] = [0.1, 0.4, 0.2, 0.3]
+        assert self.check_walk(spans, K, dirac(K.space, 0).weights)[2] == 40
+        assert self.check_walk(spans, K, sparse)[2] == 40
+
+    def test_block_walk_stays_in_its_block(self, spans):
+        K = block_chain(k=4, block_size=150).kernel
+        rows, _, spanned = self.check_walk(spans, K, dirac(K.space, 0).weights)
+        assert all((row[150:] == 0.0).all() for row in rows)
+        assert spanned == 40
+        # a start in the first and the last block spans every column
+        both = np.zeros(600)
+        both[[10, 590]] = 0.5
+        rows, ref, spanned = self.check_walk(spans, K, both)
+        assert spanned == 0
+        assert all(np.array_equal(a, b) for a, b in zip(rows, ref))
+
+    def test_corner_entry_falls_back_to_the_loop(self, spans):
+        K = lazy_cycle(600).kernel
+        assert K.rows[599, 0] > 0.0
+        rows, ref, spanned = self.check_walk(spans, K,
+                                             dirac(K.space, 599).weights)
+        # the first push is spanned; from then on the row holds atoms 0
+        # and 599, spans every column and takes the plain loop
+        assert spanned == 1
+        assert all(np.array_equal(a, b) for a, b in zip(rows[1:], ref[1:]))
+
+    def test_sub_markovian_mass_dies_out(self, spans):
+        # each step moves 0.9 of the mass one atom on; the last atom kills it
+        rows = np.zeros((600, 600))
+        rows[np.arange(599), np.arange(1, 600)] = 0.9
+        K = Kernel(StateSpace.range(600), rows, kind="sub-markovian")
+        start = np.zeros(600)
+        start[[570, 580]] = [0.25, 0.75]
+        got, _, spanned = self.check_walk(spans, K, start, horizon=60)
+        # the mass from atom 570 reaches atom 599 at step 29 and dies
+        assert (got[28] > 0.0).any()
+        assert all((row == 0.0).all() for row in got[29:])
+        assert spanned == 29
+
+    def test_all_zero_start(self, spans):
+        K = birth_death(600, 0.7).kernel
+        got, _, spanned = self.check_walk(spans, K, np.zeros(600), horizon=5)
+        assert all((row == 0.0).all() for row in got)
+        assert spanned == 0
+
+    def test_small_and_full_row_kernels_take_the_loop(self, spans):
+        for K in (birth_death(2 * PANEL, 0.7).kernel, ou_grid(300).kernel):
+            w = dirac(K.space, 0).weights
+            rows, ref, spanned = self.check_walk(spans, K, w)
+            assert all(np.array_equal(a, b) for a, b in zip(rows, ref))
+            assert spanned == 0
 
 
 class TestAveragedMeasures:
