@@ -357,17 +357,15 @@ class TestSharedEvidence:
         four_way_verdicts(K, m, horizon=64)
         assert calls == {"_strong_components": 2}
 
-    def test_shared_decomposition_is_still_verified(self):
-        # absorption weights of a slow leak miss mass one by about 5e-8
-        eps = 1e-9
-        K = Kernel(StateSpace.range(3), [[0.5, 0.5 - eps, eps],
-                                         [0.5, 0.5 - eps, eps],
-                                         [0.0, 0.0, 1.0]])
+    def test_shared_decomposition_is_still_verified(self, monkeypatch):
+        # the memo hit must run the checks: the zero projector fails them
         with solver._shared_decompositions():
-            solver.decompose(K, verify=False)
+            solver.decompose(TWO_STATE, verify=False)
+            monkeypatch.setattr(solver.ErgodicDecomposition, "projector",
+                                lambda self: np.zeros((2, 2)))
             with pytest.raises(ArithmeticError,
                                match="projector rows miss mass one"):
-                solver.decompose(K)
+                solver.decompose(TWO_STATE)
 
     @pytest.mark.parametrize("config", [OU_ALL_STAGES, BD_DECOMPOSING_STAGES],
                              ids=["ou_grid", "birth_death"])

@@ -10,10 +10,11 @@ from ergocert.semigroup import Generator, auxiliary_measure
 from ergocert.certificates.almost import check_almost_invariant
 from ergocert.certificates.averages import limit_row
 from ergocert.certificates.phi import AlmostInvarianceParams, PhiLinear
-from ergocert.scenarios import birth_death, block_chain
+from ergocert.scenarios import birth_death, block_chain, lazy_cycle, ou_grid
 from ergocert.solver import (
     ErgodicDecomposition,
     _strong_components,
+    _tarjan,
     averaging_projector,
     decompose,
     solve_cesaro_adjoint,
@@ -21,7 +22,7 @@ from ergocert.solver import (
     solve_eigen,
     verify_count_bound,
 )
-from oracles import gth_stationary, killed_cesaro_limit
+from oracles import gth_stationary, killed_cesaro_limit, lu_stationary
 
 S2 = StateSpace.range(2)
 S3 = StateSpace.range(3)
@@ -201,6 +202,33 @@ class TestStrongComponents:
             assert got[0] == want[0], trial
             assert (got[1] == want[1]).all(), trial
 
+    def test_full_adjacency_is_one_component_without_a_walk(self,
+                                                          monkeypatch):
+        def walk(adjacency):
+            raise AssertionError("walked a full adjacency")
+
+        fulls = [np.ones((n, n), dtype=bool) for n in (1, 2, 7, 40)]
+        wants = [_tarjan(full) for full in fulls]
+        monkeypatch.setattr(solver, "_tarjan", walk)
+        for full, want in zip(fulls, wants):
+            got = _strong_components(full)
+            assert got[0] == want[0] == 1
+            assert_array_equal(got[1], want[1])
+
+    def test_single_zero_anywhere_takes_the_walk(self):
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        for n in (2, 3, 4):
+            for i in range(n):
+                for j in range(n):
+                    adj = np.ones((n, n), dtype=bool)
+                    adj[i, j] = False
+                    got = _strong_components(adj)
+                    want = csgraph.connected_components(
+                        adj, directed=True, connection="strong")
+                    assert got[0] == want[0], (n, i, j)
+                    assert_array_equal(got[1], _tarjan(adj)[1])
+                    assert_array_equal(got[1], want[1])
+
     def test_long_path_needs_no_recursion(self):
         n = 5000
         adj = np.eye(n, k=1, dtype=bool)
@@ -208,6 +236,133 @@ class TestStrongComponents:
         count, labels = _strong_components(adj)
         assert count == 1
         assert (labels == 0).all()
+
+
+def count_solves(monkeypatch):
+    """Wrap np.linalg.solve; the returned list grows by one per call."""
+    calls = []
+    real_solve = np.linalg.solve
+
+    def solve(a, b):
+        calls.append(np.shape(a))
+        return real_solve(a, b)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    return calls
+
+
+def courtois_blocks(rng, sizes, coupling):
+    """Random stochastic blocks of bandwidth 2 with rates 10^U(-6, 0),
+    each linked to the next through one pair of states at the given
+    coupling."""
+    n = sum(sizes)
+    i, j = np.indices((n, n))
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    inside = (np.abs(i - j) <= 2) & (block[i] == block[j])
+    rows = np.where(inside, 10.0 ** rng.uniform(-6.0, 0.0, (n, n)), 0.0)
+    rows /= rows.sum(axis=1, keepdims=True)
+    for e in np.cumsum(sizes)[:-1]:
+        for x, y in ((e - 1, e), (e, e - 1)):
+            rows[x] *= 1.0 - coupling
+            rows[x, y] = coupling
+    return Kernel(StateSpace.range(n), rows)
+
+
+class TestEnvelopeClassLaw:
+    """Narrow classes are censored over their envelope, dense ones
+    keep the LU solve; np.linalg.solve counts show which path ran."""
+
+    @pytest.mark.parametrize("n", [60, 200, 1200])
+    @pytest.mark.parametrize("p_down", [0.55, 0.7, 0.9])
+    def test_birth_death_matches_its_closed_form(self, monkeypatch, n,
+                                                 p_down):
+        bundle = birth_death(n, p_down)
+        calls = count_solves(monkeypatch)
+        (law,) = decompose(bundle.kernel, verify=False).class_measures
+        assert calls == []
+        exact = bundle.m.weights
+        normal = exact >= np.finfo(float).tiny
+        rel = np.abs(law.weights[normal] / exact[normal] - 1.0)
+        assert rel.max() <= 1e-12
+        assert (law.weights[exact == 0.0] == 0.0).all()
+
+    def test_growing_law_stays_finite(self, monkeypatch):
+        # the mirror image of birth_death(1200, 0.7): the law grows by
+        # 2.3 per state from the first one, far past the float range
+        bundle = birth_death(1200, 0.7)
+        rows = bundle.kernel.rows[::-1, ::-1]
+        calls = count_solves(monkeypatch)
+        (law,) = decompose(Kernel(bundle.kernel.space, rows),
+                           verify=False).class_measures
+        assert calls == []
+        exact = bundle.m.weights[::-1]
+        normal = exact >= np.finfo(float).tiny
+        rel = np.abs(law.weights[normal] / exact[normal] - 1.0)
+        assert rel.max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_coupled_banded_blocks_match_gth(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        K = courtois_blocks(rng, [int(v) for v in rng.integers(20, 80, 4)],
+                            1e-6)
+        calls = count_solves(monkeypatch)
+        (law,) = decompose(K).class_measures
+        assert calls == []
+        ref = gth_stationary(K.rows - np.eye(K.size))
+        assert np.abs(law.weights / ref - 1.0).max() <= 1e-12
+
+    def test_lazy_cycle_is_uniform(self, monkeypatch):
+        K = lazy_cycle(600).kernel
+        calls = count_solves(monkeypatch)
+        (law,) = decompose(K, verify=False).class_measures
+        assert calls == []
+        assert np.abs(600.0 * law.weights - 1.0).max() <= 1e-15
+
+    @pytest.mark.parametrize("case", ["ou_grid", "block_chain"])
+    def test_dense_classes_keep_the_lu_solve(self, monkeypatch, case):
+        if case == "ou_grid":
+            K = ou_grid(300).kernel
+            blocks = [np.arange(300)]
+        else:
+            K = block_chain(k=2, block_size=250).kernel
+            blocks = [np.arange(250), np.arange(250, 500)]
+        calls = count_solves(monkeypatch)
+        laws = decompose(K, verify=False).class_measures
+        assert len(calls) >= len(blocks)
+        for idx, law in zip(blocks, laws):
+            block = K.rows[np.ix_(idx, idx)] - np.eye(idx.size)
+            assert_array_equal(law.weights[idx], lu_stationary(block))
+
+
+class TestEnvelopeAbsorption:
+    """Absorption weights by censoring, each pivot a sum of outflows."""
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-12])
+    def test_slow_leak_keeps_mass_one(self, eps):
+        K = Kernel(S3, [[0.5, 0.5 - eps, eps],
+                        [0.5, 0.5 - eps, eps],
+                        [0.0, 0.0, 1.0]])
+        pi = averaging_projector(K)
+        assert np.abs(pi.sum(axis=1) - 1.0).max() <= 1e-15
+        decompose(K)
+
+    def test_gamblers_ruin_matches_its_closed_form(self, monkeypatch):
+        # up with probability 0.4 on 1..N-1, absorbed at 0 and N; from i
+        # the walk ends at 0 with probability r^i (r^(N-i) - 1) / (r^N - 1)
+        N, up = 300, 0.4
+        rows = np.zeros((N + 1, N + 1))
+        rows[0, 0] = rows[N, N] = 1.0
+        for i in range(1, N):
+            rows[i, i + 1] = up
+            rows[i, i - 1] = 1.0 - up
+        calls = count_solves(monkeypatch)
+        d = decompose(Kernel(StateSpace.range(N + 1), rows))
+        assert calls == []
+        r = (1.0 - up) / up
+        i = np.arange(N + 1)
+        at_zero = r ** i * (r ** (N - i) - 1.0) / (r ** N - 1.0)
+        at_top = (r ** i - 1.0) / (r ** N - 1.0)
+        assert np.abs(d.absorption[1:N, 0] / at_zero[1:N] - 1.0).max() <= 1e-12
+        assert np.abs(d.absorption[1:N, 1] / at_top[1:N] - 1.0).max() <= 1e-12
 
 
 class TestSolveEigen:
