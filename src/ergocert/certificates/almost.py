@@ -90,20 +90,19 @@ class Evidence:
     def powers(self) -> tuple:
         if isinstance(self.system, Kernel):
             return tuple(power_rows(self.system, self.m, self.horizon))
-        return tuple(continuous_power_rows(self.system, self.m, self._ts()))
+        return tuple(continuous_power_rows(
+            self.system, self.m, geometric_horizons(self.horizon)))
 
     @cached_property
     def means(self) -> tuple:
         if isinstance(self.system, Kernel):
             return tuple(_running_means(self.m, self.powers, self.horizon))
-        return tuple(continuous_mean_rows(self.system, self.m, self._ts()))
+        return tuple(continuous_mean_rows(
+            self.system, self.m, geometric_horizons(self.horizon)))
 
     @cached_property
     def limit(self) -> np.ndarray:
         return np.clip(limit_row(self.system, self.m), 0.0, None)
-
-    def _ts(self) -> list:
-        return [float(t) for t in geometric_horizons(self.horizon)]
 
     def rows(self, mode: str, n0: int = 1, doubling: bool = False) -> list:
         """(tag, row) pairs of the "power" or "mean" family, limit last.
@@ -630,7 +629,7 @@ def check_occupation_half(S, nu: Measure, target: StateSet,
     if discrete:
         pairs = [(n, v) for n, v in mean_rows(S, nu, grid[-1]) if n in grid]
     else:
-        pairs = continuous_mean_rows(S, nu, [float(t) for t in grid])
+        pairs = continuous_mean_rows(S, nu, grid)
     lim = np.clip(limit_row(S, nu), 0.0, None)
     occ = [(tag, float(row[mask].sum())) for tag, row in pairs]
     occ_limit = float(lim[mask].sum())

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Kernel, Measure, _span_product, power, push, state_index,
-                   state_values)
+from .core import (Kernel, Measure, _grid_ladders, _Ladder, power, push,
+                   state_index, state_values)
 from .semigroup import last_row, mean_rows
 from .solver import averaging_projector
 
@@ -107,34 +107,20 @@ def decay_report(P: Kernel, m: Measure, V, n_grid=DEFAULT_GRID) -> DecayReport:
     norms(n) <= 1.1 * C * gamma^n, the factor being 1 + ENVELOPE_SLACK,
     across the fitted range.
 
-    A horizon twice the preceding one, when that is a power of two, squares
-    its power, which is how power(P, n) builds it; any other calls power.
-    Either way the products skip the structural zeros of banded and block
-    powers.
+    The grid climbs one doubling ladder (core._grid_ladders): a horizon
+    twice the one before squares its power, as power(P, n) would, and any
+    other calls power; the products skip structural zeros.
     """
     ns = tuple(int(n) for n in n_grid)
     if not ns or any(n < 1 for n in ns):
         raise ValueError("n_grid must hold positive horizons")
     w = _check_invariant(P, m)
     weight = 1.0 + state_values(P.space, V, "V", low=0.0, finite=True)
-    norms = []
-    rows, at = None, 0
-    for n in ns:
-        if n == 2 * at and at & (at - 1) == 0:
-            rows = _span_product(rows, rows)
-        elif n != at:
-            rows = None  # free the previous power before building this one
-            rows = power(P, n).rows
-        at = n
-        norms.append(_gap_norm(rows, w, weight))
-    norms = tuple(norms)
+    ladders = _grid_ladders(ns, lambda n: _Ladder(power(P, n).rows))
+    norms = tuple(_gap_norm(ladder.power, w, weight) for _, ladder in ladders)
 
     floor = max(norms[0] * 1e-13, 1e-15)
-    cut = len(norms)
-    for i, b in enumerate(norms):
-        if b <= floor:
-            cut = i
-            break
+    cut = next((i for i, b in enumerate(norms) if b <= floor), len(norms))
     fit_ns = np.array(ns[:cut], dtype=float)
     fit_bs = np.array(norms[:cut], dtype=float)
 

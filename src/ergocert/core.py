@@ -3,6 +3,10 @@
 Everything is dense float64 and immutable after construction. Row-major
 kernels: ``rows[x, a]`` is the mass moved from state x to state a in one
 step.
+
+Every doubling of a horizon climbs the one private ladder here, _Ladder:
+powers, Cesaro averages, decay norms, the Cesaro-adjoint solve, generator
+rows and uniformization; _grid_ladders holds the rule for a time grid.
 """
 
 from __future__ import annotations
@@ -517,10 +521,69 @@ def _span_pushes(v: np.ndarray, M: np.ndarray, steps: int):
         yield v
 
 
-def power(K: Kernel, n: int) -> Kernel:
-    """n-step kernel by binary exponentiation. power(K, 0) is the identity.
+class _Ladder:
+    """Doubling ladder of a square matrix M, with optional start rows A.
 
-    Products skip the structural zeros of banded and block powers.
+    Rung j holds M^(2^j) and the average A (I + M + ... + M^(2^j - 1)) / 2^j;
+    climb() goes up a rung by A <- (A + A M^(2^j)) / 2. A power is squared
+    by _span_product only when read, so a caller that stops at a rung never
+    pays for the next square. A floor zeroes the entries of each squared
+    power below it: flushed counts them, and bound compounds E <- 2E + E^2
+    + size * floor over the squarings that drop one, the distance from the
+    exact power of a substochastic M.
+    """
+
+    def __init__(self, base: np.ndarray, rows=None, floor: float = 0.0):
+        self.rung, self.rows, self._floor = 0, rows, floor
+        self._power, self._at = base, 0
+        self.flushed, self.bound = 0, 0.0
+
+    @property
+    def power(self) -> np.ndarray:
+        while self._at < self.rung:
+            p = _span_product(self._power, self._power)
+            if self._floor:
+                low = (p < self._floor) & (p > 0.0)
+                dropped = int(np.count_nonzero(low))
+                p[low] = 0.0
+                self.flushed += dropped
+                self.bound = (self.bound * (2.0 + self.bound)
+                              + len(p) * self._floor * (dropped > 0))
+            self._power, self._at = p, self._at + 1
+        return self._power
+
+    def climb(self, rungs: int = 1) -> "_Ladder":
+        for _ in range(rungs):
+            if self.rows is not None:
+                a, p = self.rows, self.power
+                self.rows = 0.5 * (a + (_span_product(a, p) if a.ndim == 2
+                                        else a @ p))
+            self.rung += 1
+        return self
+
+
+def _grid_ladders(ts, fresh):
+    """Yield (t, ladder) along a grid of times: a time twice the one before
+    (within 1e-9 relative) climbs its ladder a rung, the same time reads it
+    again, and any other starts fresh(t). One ladder is alive at a time.
+    """
+    ladder, prev = None, None
+    for t in ts:
+        if prev is not None and abs(t - 2 * prev) <= 1e-9 * max(abs(t), 1.0):
+            ladder.climb()
+        elif t != prev:
+            ladder = None  # free the previous power before building this one
+            ladder = fresh(t)
+        prev = t
+        yield t, ladder
+
+
+def power(K: Kernel, n: int) -> Kernel:
+    """n-step kernel. power(K, 0) is the identity.
+
+    For n = q 2^k with q odd, the rungs of K's ladder fold into K^q, least
+    significant bit first, and K^q climbs its own ladder k rungs. So the
+    ladder of power(K, n) reads power(K, 2n) one rung up, bit for bit.
     """
     n = int(n)
     if n < 0:
@@ -528,43 +591,40 @@ def power(K: Kernel, n: int) -> Kernel:
     if n == 0:
         return Kernel(K.space, np.eye(K.size), kind=K.kind,
                       on_rowsum="renormalize")
-    result = None
-    base = K.rows
-    while n:
-        if n & 1:
-            result = (base.copy() if result is None
-                      else _span_product(result, base))
-        n >>= 1
-        if n:
-            base = _span_product(base, base)
-    return Kernel(K.space, result, kind=K.kind, on_rowsum="renormalize")
-
-
-def _cesaro_and_power(rows: np.ndarray, n: int):
-    """Return (S_n, P^n) as raw matrices, S_n = (1/n) sum_{k<n} P^k.
-
-    Uses the splitting S_{a+b} = (a S_a + b P^a S_b) / (a+b) so the cost is
-    O(log n) matrix products, which keeps huge horizons affordable.
-    """
-    if n == 1:
-        return np.eye(rows.shape[0]), rows.copy()
-    half, odd = divmod(n, 2)
-    s_half, p_half = _cesaro_and_power(rows, half)
-    s = 0.5 * (s_half + _span_product(p_half, s_half))
-    p = _span_product(p_half, p_half)
-    if odd:
-        # S_{2h+1} = (2h S_{2h} + P^{2h}) / (2h + 1)
-        s = (2 * half * s + p) / (2 * half + 1)
-        p = _span_product(p, rows)
-    return s, p
+    k = (n & -n).bit_length() - 1
+    q = n >> k
+    rungs = _Ladder(K.rows)
+    odd = None
+    for j in range(q.bit_length()):
+        if q >> j & 1:
+            odd = (rungs.power if odd is None
+                   else _span_product(odd, rungs.power))
+        rungs.climb()
+    del rungs
+    return Kernel(K.space, _Ladder(odd).climb(k).power, kind=K.kind,
+                  on_rowsum="renormalize")
 
 
 def cesaro(K: Kernel, n: int) -> Kernel:
-    """Cesaro average (1/n)(I + K + ... + K^{n-1})."""
+    """Cesaro average S_n = (1/n)(I + K + ... + K^{n-1}).
+
+    Rung j of K's ladder from the identity holds S_b, b = 2^j. The rungs
+    of the bits of n fold in least significant first, by the splitting
+    S_{b+a} = (b S_b + a K^b S_a) / (a + b): O(log n) matrix products.
+    """
     n = int(n)
     if n < 1:
         raise ValueError("cesaro requires n >= 1")
-    s, _ = _cesaro_and_power(K.rows, n)
+    rungs = _Ladder(K.rows, rows=np.eye(K.size))
+    s, a = None, 0
+    for j in range(n.bit_length()):
+        if n >> j & 1:
+            b = 1 << j
+            s = rungs.rows if s is None else (
+                b * rungs.rows + a * _span_product(rungs.power, s)) / (a + b)
+            a += b
+        if a < n:
+            rungs.climb()
     return Kernel(K.space, s, kind=K.kind, on_rowsum="renormalize")
 
 

@@ -135,7 +135,9 @@ def birth_death(n=100, p_down=0.7, reflect=True, seed: int = 0) -> ScenarioBundl
         C = StateSet(sp, [0])
         extras["drift_b"] = d / (2.0 * d - 1.0)
     ratio = up / d
-    w = ratio ** np.arange(n)
+    # a growing law is built from its far end, so no weight overflows
+    w = (ratio ** np.arange(n) if ratio <= 1.0
+         else (d / up) ** np.arange(n)[::-1])
     m = Measure(sp, w / w.sum())
     extras["stationary_ratio"] = ratio
     return ScenarioBundle(

@@ -4,7 +4,8 @@ A semigroup is either a Kernel (unit-time step, powers give the rest) or
 a Generator (conservative rate matrix, transition matrices come from
 uniformization). A measure goes through a resolvent by one transposed
 solve in auxiliary_measure, and the operators are formed only to be read.
-Time integrals use composite Simpson quadrature on an exact uniform grid.
+Time integrals use composite Simpson quadrature on an exact uniform grid;
+long times climb the doubling ladder of core back from a halved time.
 
 The one discrete chain lives here: power_rows yields m K^n and mean_rows
 sums those rows into m S_n, step by step. Each push skips the structural
@@ -30,6 +31,7 @@ from .core import (
     StateSpace,
     _check_same_space,
     _frozen_array,
+    _Ladder,
     _span_pushes,
 )
 
@@ -184,7 +186,8 @@ def transition_at(S: Semigroup, t) -> Kernel:
 
     Discrete semigroups require integer t >= 0 and use binary powers.
     Continuous semigroups use uniformization; for lam*t beyond 200 the
-    time is halved recursively and the result squared, which keeps the
+    time is halved until it is not, and the transition at the halved
+    time climbs its doubling ladder back (core._Ladder), which keeps the
     Poisson weights well inside double range.
     """
     if isinstance(S, Kernel):
@@ -197,14 +200,11 @@ def transition_at(S: Semigroup, t) -> Kernel:
     t = float(t)
     if t == 0.0 or S.lam == 0.0:
         return Kernel(S.space, np.eye(S.size))
-    halvings = 0
-    tt = t
+    halvings, tt = 0, t
     while S.lam * tt > _MAX_DIRECT_LAMT:
         tt /= 2.0
         halvings += 1
-    rows = _series_transition(S, tt)
-    for _ in range(halvings):
-        rows = rows @ rows
+    rows = _Ladder(_series_transition(S, tt)).climb(halvings).power
     return Kernel(S.space, rows, kind="markovian",
                   on_rowsum="renormalize" if halvings else "reject")
 

@@ -14,9 +14,9 @@ regardless of any reference measure. solve_cesaro_adjoint starts from a
 reference measure m and produces the largest invariant measure
 absolutely continuous w.r.t. m, which is legitimately the zero measure
 when no mass survives inside supp(m). It averages the measures m K^k
-on supp(m) by repeated squaring of the kernel, in kernel scale, with one
-absolute floor FLUSH_TOL on the entries of each power; the density
-nu / m is read off the limit, not iterated.
+on supp(m) up the doubling ladder of the kernel (core._Ladder), in
+kernel scale, with one absolute floor FLUSH_TOL on the entries of each
+power; the density nu / m is read off the limit, not iterated.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Kernel, Measure, StateFn, StateSet, _require_positive_mass,
-                   _span_product, push)
+from .core import (Kernel, Measure, StateFn, StateSet, _Ladder,
+                   _require_positive_mass, push)
 from .semigroup import Generator
 
 __all__ = [
@@ -458,68 +458,49 @@ def solve_cesaro_adjoint(K: Kernel, m: Measure) -> InvariantResult:
     density rho = nu / m is the adjoint iterate (1/n) sum_{k<n} (P*)^k 1
     in L^1(m); it is exactly 0 off supp(m).
 
-    For a (sub-)markovian K each fresh power K_S^n is flushed: entries
-    below FLUSH_TOL are set to zero. K_S^n is substochastic, so the
-    dropped part moves any measure by at most |supp| * FLUSH_TOL of its
-    mass. The compounded bound E <- 2E + E^2 + |supp| * FLUSH_TOL on the
-    distance from the exact power, counted at each squaring that drops
-    an entry, is added to the slack of both proof-step checks and
-    reported as "flush_bound", beside the number of "flushed_entries".
-    The flush keeps the products free of the subnormal numbers that
-    slow a matrix product tenfold. Each squaring skips the structural
-    zeros of a banded or block power, so its cost follows the nonzero
-    spans of the rows of K_S^n.
+    The doubling climbs K_S's ladder from the rows m (core._Ladder), which
+    for a (sub-)markovian K flushes each fresh power below FLUSH_TOL: that
+    keeps the products free of the subnormal numbers that slow a matrix
+    product tenfold. The ladder's flush bound is added to the slack of
+    both proof-step checks and reported as "flush_bound", beside the
+    number of "flushed_entries".
     """
     _require_positive_mass(m)
     mass_total = m.mass
     supp = m.support
     mw = m.weights[supp]
-    flush = K.kind != "general"
-    drop_bound = supp.size * FLUSH_TOL
 
     block = K.rows[np.ix_(supp, supp)]   # K_S
-    nu = mw                              # horizon 1
-    pow_rows = block                     # K_S^(2^j), fresh after the first
+    ladder = _Ladder(block, rows=mw,
+                     floor=FLUSH_TOL if K.kind != "general" else 0.0)
     prev_extr = None
     mode = "exhausted"
     deltas = []
-    masses = [float(nu.sum())]
-    flushed = 0
-    bound = 0.0
+    masses = [float(mw.sum())]           # horizon 1
     j = 0
     for j in range(1, MAX_DOUBLINGS + 1):
-        nu_next = 0.5 * (nu + nu @ pow_rows)
+        nu, nu_next = ladder.rows, ladder.climb().rows
         delta = float(np.abs(nu_next - nu).sum()) / mass_total
         deltas.append(delta)
         extr = 2.0 * nu_next - nu
         masses.append(float(nu_next.sum()))
         if delta <= CESARO_TOL:
-            nu = nu_next
             mode = "plain"
             break
         if prev_extr is not None:
             edelta = float(np.abs(extr - prev_extr).sum()) / mass_total
             if edelta <= 0.1 * CESARO_TOL:
-                nu = np.clip(extr, 0.0, None)
                 mode = "extrapolated"
                 break
         prev_extr = extr
-        nu = nu_next
-        if j < MAX_DOUBLINGS:
-            pow_rows = _span_product(pow_rows, pow_rows)
-            if flush:
-                low = (pow_rows < FLUSH_TOL) & (pow_rows > 0.0)
-                dropped = int(np.count_nonzero(low))
-                pow_rows[low] = 0.0
-                flushed += dropped
-                bound = bound * (2.0 + bound) + drop_bound * (dropped > 0)
+    nu = np.clip(extr, 0.0, None) if mode == "extrapolated" else ladder.rows
 
     converged = mode != "exhausted"
     rs = nu / mw
     if converged:
         # the two proof steps, numerically: sub-invariance of the density,
         # then mass conservation forcing equality
-        slack = 100.0 * max(CESARO_TOL, deltas[-1]) + bound
+        slack = 100.0 * max(CESARO_TOL, deltas[-1]) + ladder.bound
         stepped = nu @ block
         over = float(np.max((stepped / mw - rs) / max(1.0, rs.max())))
         if over > slack:
@@ -538,9 +519,8 @@ def solve_cesaro_adjoint(K: Kernel, m: Measure) -> InvariantResult:
     nu_m = Measure(K.space, weights)
     residual = float(np.abs(push(nu_m, K).weights - weights).sum())
 
-    decay = None
-    if len(masses) >= 3 and masses[-1] > 0 and masses[-3] > 0:
-        decay = masses[-1] / masses[-3]
+    decay = (masses[-1] / masses[-3] if len(masses) >= 3 and masses[-1] > 0
+             and masses[-3] > 0 else None)
     return InvariantResult(
         nu=nu_m,
         density=StateFn(K.space, rho),
@@ -554,8 +534,8 @@ def solve_cesaro_adjoint(K: Kernel, m: Measure) -> InvariantResult:
             "deltas": deltas[-8:],
             "mass_trajectory": masses[-8:],
             "mass_decay_per_doubling": decay,
-            "flushed_entries": flushed,
-            "flush_bound": bound,
+            "flushed_entries": ladder.flushed,
+            "flush_bound": ladder.bound,
         },
     )
 

@@ -7,11 +7,13 @@ subtraction-free stationary law that the rate-form decomposition is
 held to on stiff generators, and lu_stationary the dense class solve
 that classes with a wide envelope must still get bit for bit;
 killed_cesaro_limit is the exact limit that the Cesaro-adjoint doubling
-approximates.
+approximates. product_spy counts the products of the doubling ladder,
+and with dense=True makes each one a plain L @ R.
 """
 
 import numpy as np
 
+from ergocert import core
 from ergocert.certificates.phi import PhiLinear, PhiPower, PhiTable
 from ergocert.core import Kernel
 from ergocert.solver import averaging_projector
@@ -114,3 +116,21 @@ def killed_cesaro_limit(K, m):
     killed = np.where(m.weights > 0.0, K.rows, 0.0)
     return m.weights @ averaging_projector(
         Kernel(K.space, killed, kind="sub-markovian"))
+
+
+def product_spy(monkeypatch, dense=False):
+    """Record the operand shapes of every core._span_product call.
+
+    The spy sits at core._span_product, the name the doubling ladder
+    looks the product up by. With dense=True each product is L @ R, the
+    oracle that the spanned products must match.
+    """
+    calls = []
+    spanned = core._span_product
+
+    def spy(L, R):
+        calls.append(L.shape)
+        return L @ R if dense else spanned(L, R)
+
+    monkeypatch.setattr(core, "_span_product", spy)
+    return calls

@@ -15,6 +15,7 @@ from ergocert.convergence import (
     weighted_gap_norm,
     weighted_step_norm,
 )
+from oracles import product_spy
 
 S2 = StateSpace.range(2)
 TWO_STATE = Kernel(S2, [[0.9, 0.1], [0.2, 0.8]])
@@ -138,8 +139,9 @@ class TestDecayReport:
             laws = sum(r.nu.normalized().weights for r in solve_eigen(K))
             m, V = Measure(K.space, laws / 4), np.zeros(600)
         spanned = decay_report(K, m, V)
-        monkeypatch.setattr(convergence, "_span_product", np.matmul)
+        products = product_spy(monkeypatch, dense=True)
         dense = decay_report(K, m, V)
+        assert products  # the ladder squared through the dense oracle
         assert_allclose(spanned.norms, dense.norms, rtol=1e-12, atol=0.0)
 
     def test_grid_must_be_positive(self):

@@ -23,7 +23,10 @@ from ergocert.core import (
     power,
     push,
 )
+from ergocert.convergence import DEFAULT_GRID, decay_report
 from ergocert.scenarios import birth_death, block_chain, lazy_cycle, ou_grid
+from ergocert.solver import solve_cesaro_adjoint
+from oracles import product_spy
 
 S2 = StateSpace.range(2)
 
@@ -335,3 +338,58 @@ class TestSpanProduct:
         R[:, :40] = L[:, :40]   # every row of R ends at column 40
         self.check(L, R)
         assert panels
+
+
+class TestLadderProducts:
+    """Pinned counts of the products the doubling ladder makes."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 8, 12, 100, 255, 256])
+    def test_power(self, n, monkeypatch):
+        K = birth_death(300, 0.7).kernel
+        direct = np.linalg.matrix_power(K.rows, n)
+        products = product_spy(monkeypatch)
+        P = power(K, n)
+        assert len(products) == n.bit_length() + bin(n).count("1") - 2
+        assert_allclose(P.rows, direct, rtol=0.0, atol=1e-14)
+
+    def test_power_doubles_bit_for_bit(self):
+        K = lazy_cycle(6).kernel
+        for n in (3, 5, 6, 12):
+            Pn = power(K, n).rows
+            assert np.array_equal(power(K, 2 * n).rows,
+                                  core._span_product(Pn, Pn))
+
+    def test_cesaro(self, monkeypatch):
+        K = birth_death(300, 0.7).kernel
+        products = product_spy(monkeypatch)
+        S = cesaro(K, 7)
+        assert len(products) <= 6
+        want = sum(np.linalg.matrix_power(K.rows, k) for k in range(7)) / 7
+        assert_allclose(S.rows, want, rtol=0.0, atol=1e-14)
+
+    def test_unread_powers_are_never_squared(self, monkeypatch):
+        products = product_spy(monkeypatch)
+        ladder = core._Ladder(birth_death(300, 0.7).kernel.rows)
+        ladder.climb(3)
+        assert products == []
+        ladder.power
+        assert len(products) == 3
+        ladder.power
+        assert len(products) == 3
+
+    def test_decay_report_default_grid(self, monkeypatch):
+        bundle = birth_death(600, 0.7)
+        products = product_spy(monkeypatch)
+        decay_report(bundle.kernel, bundle.m, bundle.V, n_grid=DEFAULT_GRID)
+        assert len(products) == 8
+
+    def test_cesaro_adjoint(self, monkeypatch):
+        bundle = birth_death(600, 0.7)
+        K = bundle.kernel
+        products = product_spy(monkeypatch)
+        res = solve_cesaro_adjoint(K, Measure(K.space, np.full(600, 1 / 600)))
+        assert (len(products), res.iterations) == (13, 14)
+        assert res.diagnostics["mode"] == "extrapolated"
+        products.clear()
+        res = solve_cesaro_adjoint(K, bundle.m)
+        assert (len(products), res.iterations) == (0, 1)

@@ -1,6 +1,8 @@
 """Scenario bundles and the JSON document layer."""
 
 import json
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -54,6 +56,21 @@ class TestScenarioBundles:
         assert_allclose(pv[0] - v[0], bundle.extras["drift_b"] - 1.0)
         assert_allclose(push(bundle.m, bundle.kernel).weights,
                         bundle.m.weights, atol=1e-12)
+
+    def test_long_outward_walk_law_stays_finite(self):
+        # the law grows by 7/3 per state, beyond double range from n = 840
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w = outward_walk(900, 0.7).m.weights
+        down = 1.0 - 0.7  # the p_down of the walk, as the bundle takes it
+        with localcontext() as ctx:
+            ctx.prec = 40
+            ratio = Decimal(down) / Decimal(1.0 - down)
+            exact = [ratio ** (899 - i) for i in range(900)]
+            total = sum(exact)
+            want = np.array([float(x / total) for x in exact])
+        assert want[-1] > 0.5 and want[0] == 0.0
+        assert_allclose(w, want, rtol=1e-12, atol=np.finfo(float).tiny)
 
     def test_outward_walk_reverses_drift(self):
         bundle = outward_walk(20, 0.7)

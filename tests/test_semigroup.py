@@ -5,6 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ergocert.certificates.almost import check_occupation_half
+from ergocert.certificates.averages import (continuous_mean_rows,
+                                            continuous_power_rows,
+                                            geometric_horizons)
 from ergocert.certificates.drift import (check_dominated_rows,
                                          check_drift_concentration)
 from ergocert.certificates.phi import AlmostInvarianceParams, PhiLinear
@@ -28,6 +31,7 @@ from ergocert.semigroup import (
 from ergocert.scenarios import (absorbing_pair, birth_death, block_chain,
                                 lazy_cycle, ou_grid)
 from ergocert.solver import solve_continuous
+from oracles import product_spy
 
 S2 = StateSpace.range(2)
 SYM = Generator(S2, [[-1.0, 1.0], [1.0, -1.0]])
@@ -497,3 +501,38 @@ class TestAveragedMeasures:
         K = Kernel(S2, [[0.9, 0.1], [0.2, 0.8]])
         with pytest.raises(ValueError, match="continuous"):
             occupation_density(K, Measure(S2, [0.5, 0.5]), 1.0)
+
+
+class TestGeneratorLadder:
+    """A generator's evidence rows climb the spanned doubling ladder."""
+
+    def test_banded_rungs_take_panels_and_match_dense(self, monkeypatch):
+        K = birth_death(600, 0.7).kernel
+        G = Generator(K.space, K.rows - np.eye(600))
+        m = Measure(K.space, np.full(600, 1 / 600))
+        ts = geometric_horizons(256)
+
+        def rows():
+            return (continuous_power_rows(G, m, ts)
+                    + continuous_mean_rows(G, m, ts))
+
+        # a product made of panels calls np.matmul; note which product
+        products = product_spy(monkeypatch)
+        panelled = set()
+        real = np.matmul
+
+        def counting(*args, **kw):
+            panelled.add(len(products))
+            return real(*args, **kw)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        spanned = rows()
+        # the power rows square P_1 up to P_256, the means read P_128 last;
+        # P_1 has bandwidth 33, so the first four rungs of each are panelled
+        assert len(products) == 8 + 7
+        assert panelled == {1, 2, 3, 4, 9, 10, 11, 12}
+        monkeypatch.undo()
+        product_spy(monkeypatch, dense=True)
+        for (t, got), (s, want) in zip(spanned, rows()):
+            assert t == s
+            assert_allclose(got, want, rtol=1e-12, atol=0.0)

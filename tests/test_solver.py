@@ -22,7 +22,8 @@ from ergocert.solver import (
     solve_eigen,
     verify_count_bound,
 )
-from oracles import gth_stationary, killed_cesaro_limit, lu_stationary
+from oracles import (gth_stationary, killed_cesaro_limit, lu_stationary,
+                     product_spy)
 
 S2 = StateSpace.range(2)
 S3 = StateSpace.range(3)
@@ -516,8 +517,9 @@ class TestSpanProductOracle:
             bundle = block_chain(k=4, block_size=150)
             K, m = bundle.kernel, bundle.m
         spanned = solve_cesaro_adjoint(K, m)
-        monkeypatch.setattr(solver, "_span_product", np.matmul)
+        products = product_spy(monkeypatch, dense=True)
         dense = solve_cesaro_adjoint(K, m)
+        assert products  # the ladder squared through the dense oracle
         assert spanned.iterations == dense.iterations
         for key in ("mode", "flushed_entries"):
             assert spanned.diagnostics[key] == dense.diagnostics[key]
