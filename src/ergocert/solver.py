@@ -2,13 +2,11 @@
 the constructive averaging route.
 
 decompose alone finds closed classes, their laws and their absorption
-weights, for kernels and generators alike. A class whose envelope (the
-profile of its rate block, widened by fill-in) costs at most
-_ENVELOPE_SHARE of a dense elimination gets its law by Grassmann-Taksar-
-Heyman censoring over that envelope: no subtraction, so every atom is
-accurate relative to its own size. Dense classes keep an LU solve. The
-absorption weights always come from the same censoring, with the classes
-as absorbing targets. solve_eigen enumerates every
+weights, for kernels and generators alike. Both come from one
+elimination, blocked Grassmann-Taksar-Heyman censoring over the envelope
+of the rate block (_censor): no step subtracts, so every atom of a law
+is accurate relative to its own size. The absorption weights take the
+classes as absorbing targets. solve_eigen enumerates every
 invariant probability (one per closed class that keeps its mass),
 regardless of any reference measure. solve_cesaro_adjoint starts from a
 reference measure m and produces the largest invariant measure
@@ -46,14 +44,10 @@ EIGEN_RESIDUAL_TOL = 1e-12
 CESARO_TOL = 1e-10
 MAX_DOUBLINGS = 40
 FLUSH_TOL = 1e-150
-_ENVELOPE_SHARE = 0.07
-"""Cut between the envelope GTH and the LU class solve, as a share of the
-n^3 / 3 work of a dense elimination. It sits at the measured crossover:
-on one BLAS thread, over random banded stochastic blocks, the envelope
-elimination and the LU solve with its refinement take equal time at a
-share of about 7 % at 600 states and 8 % at 800. Below about 300 states
-the LU solve is faster at any share, by 1 to 4 ms; narrow classes there
-still take the envelope path for its entrywise accuracy."""
+_BLOCK = 64
+"""Pivots per block of _censor. On one BLAS thread of a 2-core x86_64
+host, the ou_grid(800) class law takes 34 ms at 32 pivots, 28 ms at 64
+and 27 ms at 128; the banded birth_death(1200) law 14, 14.5 and 15.5 ms."""
 # the envelope back-substitution scales the law down by a power of two once
 # an atom passes this, so a law that grows along the order stays finite
 _RESCALE_AT = 2.0 ** 500
@@ -106,21 +100,6 @@ def _profile(a: np.ndarray):
             np.minimum(nz.argmax(axis=0), idx))
 
 
-def _envelope_share(first_col: np.ndarray, first_row: np.ndarray) -> float:
-    """Bound on the work of _censor from the initial profile, as a share
-    of the n^3 / 3 of a dense elimination.
-
-    Fill-in widens an envelope only to the first column, or first row,
-    of a later pivot, so the suffix minima of the initial profile bound
-    every envelope before any state is censored.
-    """
-    n = len(first_col)
-    c0 = np.minimum.accumulate(first_col[::-1])[::-1]
-    r0 = np.minimum.accumulate(first_row[::-1])[::-1]
-    idx = np.arange(n)
-    return float(((idx - c0) * (idx - r0)).sum()) / (n ** 3 / 3.0)
-
-
 def _censor(a, first_col, first_row, exits=None) -> np.ndarray:
     """Censor the states of a from the last one down, in place (GTH).
 
@@ -132,28 +111,49 @@ def _censor(a, first_col, first_row, exits=None) -> np.ndarray:
     never 1 - P(k, k). The rates into k are divided by s[k] and fold k's
     row into the rows before it. No step subtracts.
 
-    Each pivot reads row k from column first_col[k] and column k from
-    row first_row[k], updates only rows [first_row[k], k) x columns
-    [first_col[k], k), and widens the profile of those rows and columns
-    by that fill-in. Returns s. Row k of a and of exits then holds k's
-    censored rates at its pivot, column k of a the rates into k divided
-    by s[k], and the profile the envelope each pivot used.
+    The pivots run in blocks of _BLOCK states [lo, hi), each over the
+    envelope of its block: the first column c0 and the first row r0 that
+    the profile gives any of its rows and columns. Fill-in inside the
+    block stays in that envelope. Pivot k first gathers what the later
+    pivots of its block owe its row and its column, as two
+    matrix-vector products of their censored rates, and then reads them.
+    What the block owes the rows above it in the columns left of it is
+    added once, at the end of the block, as one product over that
+    rectangle: the block's columns (the rates into its states divided by
+    their exit rates) times its rows (their censored rates out). Every
+    factor is nonnegative, so each entry is the same sum of nonnegative
+    terms as pivot by pivot, in another order, and still nothing is
+    subtracted. The profile is widened to each block's envelope.
+
+    Returns s. Row k of a and of exits then holds k's censored rates at
+    its pivot, column k of a the rates into k divided by s[k], and the
+    profile the envelope each pivot used.
     """
-    s = np.empty(len(a))
-    for k in range(len(a) - 1, -1, -1):
-        c0, r0 = int(first_col[k]), int(first_row[k])
-        s[k] = a[k, c0:k].sum()
-        if exits is not None:
-            s[k] += exits[k].sum()
-        if r0 == k:
-            continue  # no rate into k from the states before it
-        col = a[r0:k, k]
-        col /= s[k]
-        a[r0:k, c0:k] += np.multiply.outer(col, a[k, c0:k])
-        if exits is not None:
-            exits[r0:k] += np.multiply.outer(col, exits[k])
-        np.minimum(first_col[r0:k], c0, out=first_col[r0:k])
-        np.minimum(first_row[c0:k], r0, out=first_row[c0:k])
+    n = len(a)
+    s = np.empty(n)
+    for hi in range(n, 0, -_BLOCK):
+        lo = max(hi - _BLOCK, 0)
+        r0 = int(first_row[lo:hi].min())
+        c0 = int(first_col[lo:hi].min())
+        for k in range(hi - 1, lo - 1, -1):
+            later = a[k, k + 1:hi]
+            row = a[k, c0:k]
+            row += later @ a[k + 1:hi, c0:k]
+            s[k] = row.sum()
+            if exits is not None:
+                exits[k] += later @ exits[k + 1:hi]
+                s[k] += exits[k].sum()
+            if r0 < k:
+                col = a[r0:k, k]
+                col += a[r0:k, k + 1:hi] @ a[k + 1:hi, k]
+                col /= s[k]
+        np.minimum(first_col[r0:hi], c0, out=first_col[r0:hi])
+        np.minimum(first_row[c0:hi], r0, out=first_row[c0:hi])
+        if r0 < lo:
+            if c0 < lo:
+                a[r0:lo, c0:lo] += a[r0:lo, lo:hi] @ a[lo:hi, c0:lo]
+            if exits is not None:
+                exits[r0:lo] += a[r0:lo, lo:hi] @ exits[lo:hi]
     return s
 
 
@@ -161,60 +161,53 @@ def _stationary(M: np.ndarray) -> np.ndarray:
     """Probability x with x M = 0 for an irreducible block M.
 
     M is block - I for a stochastic block or the rates of a generator
-    class. Two paths, chosen from M's profile before any elimination:
-
-    - envelope GTH, when _envelope_share is at most _ENVELOPE_SHARE
-      (banded, cyclic and other narrow profiles): _censor eliminates the
-      states from the last one down, and x is back-substituted from
-      x(0) = 1 through the censored rates into each state. The diagonal
-      of M is never read and nothing is subtracted, so each atom carries
-      a relative error bound that grows with the size of M but not with
-      how stiff or nearly decoupled the class is (O'Cinneide, Numer.
-      Math. 65, 1993). An atom reads 0 only where the law falls below
-      the smallest subnormal. A law that grows along the order is
-      rescaled by powers of two on the way, so it stays finite.
-    - LU, for dense classes: one equation is traded for the
-      normalization, and three rounds of iterative refinement polish
-      the solve. It carries no entrywise bound, and each round factors
-      the matrix again.
+    class; it is overwritten. _censor eliminates the states from the
+    last one down, and x is back-substituted from x(0) = 1 through the
+    censored rates into each state. The diagonal of M is never read and
+    nothing is subtracted, so each atom carries a relative error bound
+    that grows with the size of M but not with how stiff or nearly
+    decoupled the class is (O'Cinneide, Numer. Math. 65, 1993). An atom
+    reads 0 only where the law falls below the smallest subnormal. A law
+    that grows along the order is rescaled by powers of two on the way,
+    so it stays finite.
     """
     n = M.shape[0]
     if n == 1:
         return np.ones(1)
     first_col, first_row = _profile(M)
-    if _envelope_share(first_col, first_row) <= _ENVELOPE_SHARE:
-        a = M.copy()
-        _censor(a, first_col, first_row)
-        x = np.zeros(n)
-        x[0] = 1.0
-        for k in range(1, n):
-            r0 = first_row[k]
-            x[k] = x[r0:k] @ a[r0:k, k]
-            if x[k] > _RESCALE_AT:
-                x[:k + 1] = np.ldexp(x[:k + 1], -int(np.frexp(x[k])[1]))
-        return x / x.sum()
-    A = M.T.copy()
-    A[-1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    x = np.linalg.solve(A, rhs)
-    for _ in range(3):
-        r = A @ x - rhs
-        if np.abs(r).max() <= 1e-16:
-            break
-        x = x - np.linalg.solve(A, r)
-    x = np.clip(x, 0.0, None)
+    _censor(M, first_col, first_row)
+    x = np.zeros(n)
+    x[0] = 1.0
+    for k in range(1, n):
+        r0 = first_row[k]
+        x[k] = x[r0:k] @ M[r0:k, k]
+        if x[k] > _RESCALE_AT:
+            x[:k + 1] = np.ldexp(x[:k + 1], -int(np.frexp(x[k])[1]))
     return x / x.sum()
 
 
 def _strong_components(adjacency: np.ndarray):
     """Number of strongly connected components and each state's label.
 
-    An adjacency without a zero entry is one component, found without
-    a walk; any other takes _tarjan.
+    An adjacency whose nonzeros exactly fill squares along the diagonal,
+    one after another, has one component per square, found without a
+    walk: each row's first and last nonzero column bound its square, and
+    the nonzero count is the sum of the squared sizes. The squares are
+    labelled in index order, as _tarjan numbers them. Any other
+    adjacency takes _tarjan.
     """
-    if adjacency.all():
-        return 1, np.zeros(len(adjacency), dtype=int)
+    n = len(adjacency)
+    first = adjacency.argmax(axis=1)
+    if first[0] == 0:
+        starts = first == np.arange(n)
+        labels = np.cumsum(starts) - 1
+        sizes = np.bincount(labels)
+        if np.count_nonzero(adjacency) == sizes @ sizes:
+            lo = np.flatnonzero(starts)
+            last = n - 1 - adjacency[:, ::-1].argmax(axis=1)
+            if ((first == lo[labels]).all()
+                    and (last == (lo + sizes - 1)[labels]).all()):
+                return len(lo), labels
     return _tarjan(adjacency)
 
 
@@ -308,15 +301,13 @@ def decompose(S, verify: bool = True) -> ErgodicDecomposition:
     Q > 0 gets its law from x M = 0 on its block, checked to
     EIGEN_RESIDUAL_TOL in l1 against x M / lam, where lam is 1 for a
     kernel and the uniformization rate of a generator (1 if it has no
-    rates). The law comes from _stationary: envelope GTH, with an
-    entrywise relative error bound, when the class profile costs at most
-    _ENVELOPE_SHARE (7 %, the measured crossover) of a dense elimination,
-    and LU otherwise. A sub-markovian class whose rows miss one leaks
-    and counts as transient. Absorption weights solve -M_tt h = M_tc 1
-    by the same censoring, with each class, and the mass a sub-markovian
-    kernel loses, as an absorbing target: each pivot is the sum of the
-    state's outflows, never 1 - P(x, x), so a slow leak keeps every row
-    of weights at mass one to rounding. With
+    rates). The law comes from _stationary, blocked GTH censoring with
+    an entrywise relative error bound. A sub-markovian class whose rows
+    miss one leaks and counts as transient. Absorption weights solve
+    -M_tt h = M_tc 1 by the same censoring, with each class, and the
+    mass a sub-markovian kernel loses, as an absorbing target: each
+    pivot is the sum of the state's outflows, never 1 - P(x, x), so a
+    slow leak keeps every row of weights at mass one to rounding. With
     verify=True the identities Pi P = Pi, P Pi = Pi, Pi^2 = Pi are
     asserted with P - I read as M / lam and, unless the kernel is
     sub-markovian, every row of Pi must sum to one, which the zero

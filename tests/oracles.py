@@ -3,12 +3,11 @@
 brute_force_worst enumerates every subset for the worst-set value that
 worst_set_search finds by its prefix scan; random_phi draws a modulus
 from one of the three concave families; gth_stationary is the
-subtraction-free stationary law that the rate-form decomposition is
-held to on stiff generators, and lu_stationary the dense class solve
-that classes with a wide envelope must still get bit for bit;
-killed_cesaro_limit is the exact limit that the Cesaro-adjoint doubling
-approximates. product_spy counts the products of the doubling ladder,
-and with dense=True makes each one a plain L @ R.
+subtraction-free stationary law that the decomposition is held to on
+stiff generators and dense classes; killed_cesaro_limit is the exact
+limit that the Cesaro-adjoint doubling approximates. product_spy
+counts the products of the doubling ladder, and with dense=True makes
+each one a plain L @ R.
 """
 
 import numpy as np
@@ -85,24 +84,6 @@ def gth_stationary(rates):
     for k in range(1, n):
         pi[k] = pi[:k] @ a[:k, k]
     return pi / pi.sum()
-
-
-def lu_stationary(M):
-    """Probability x with x M = 0 by one LU solve, with the last equation
-    traded for the normalization, and up to three refinement rounds."""
-    n = M.shape[0]
-    A = M.T.copy()
-    A[-1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    x = np.linalg.solve(A, rhs)
-    for _ in range(3):
-        r = A @ x - rhs
-        if np.abs(r).max() <= 1e-16:
-            break
-        x = x - np.linalg.solve(A, r)
-    x = np.clip(x, 0.0, None)
-    return x / x.sum()
 
 
 def killed_cesaro_limit(K, m):

@@ -463,8 +463,8 @@ class TestUniformLpBound:
             check_uniform_lp_bound(TWO_STATE, M_UNIFORM, 2.0)
 
     def test_conclusion_reads_the_formed_kernels(self, monkeypatch):
-        # one solve per resolvent kernel, one for the class law and two
-        # for the support check; one projector for the limit kernel
+        # one solve per resolvent kernel and two for the support check,
+        # none for the class law; one projector for the limit kernel
         solves = []
         real_solve = np.linalg.solve
 
@@ -482,5 +482,5 @@ class TestUniformLpBound:
             monkeypatch.setattr(module, "averaging_projector", counted)
         cert = check_uniform_lp_bound(SYM, M_UNIFORM, 2.0)
         assert cert.holds and cert.attached[0].holds
-        assert len(solves) == 8
+        assert len(solves) == 7
         assert len(projectors) == 1
