@@ -36,9 +36,9 @@ def show(label, m):
     res = solve_cesaro_adjoint(P, m)
     print(f"  constructed measure: weights = {res.nu.weights},"
           f" residual = {res.residual:.2e}")
-    decay = res.diagnostics["mass_decay_per_doubling"]
-    if decay:
-        print(f"  mass decay per horizon doubling: {np.round(decay, 3)}")
+    print(f"  closed classes kept inside supp(m): "
+          f"{res.diagnostics['kept_classes']}")
+    print(f"  mass killed on leaving supp(m): {m.mass - res.nu.mass:.6f}")
     print()
 
 

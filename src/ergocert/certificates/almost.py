@@ -170,14 +170,16 @@ def check_absolute_continuity(S, m: Measure) -> Certificate:
 
     Continuous semigroups are probed through the resolvent kernel at
     alpha = 1, which weights every reachable state positively, so one
-    probe row decides the condition for all times at once.
+    probe row decides the condition for all times at once. The null
+    atoms are those outside m.support.
     """
     w = m.weights
     if isinstance(S, Kernel):
         flow, probe = w @ S.rows, "kernel"
     else:
         flow, probe = auxiliary_measure(S, m, 1.0).weights, "resolvent"
-    null = w <= 0.0
+    null = np.ones(S.size, dtype=bool)
+    null[m.support] = False
     leaked = np.where(null, flow, 0.0)
     leak = float(leaked.sum())
     tol = 1e-14 * max(1.0, m.mass)

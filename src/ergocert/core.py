@@ -5,8 +5,8 @@ kernels: ``rows[x, a]`` is the mass moved from state x to state a in one
 step.
 
 Every doubling of a horizon climbs the one private ladder here, _Ladder:
-powers, Cesaro averages, decay norms, the Cesaro-adjoint solve, generator
-rows and uniformization; _grid_ladders holds the rule for a time grid.
+powers, Cesaro averages, decay norms, generator rows and uniformization;
+_grid_ladders holds the rule for a time grid.
 """
 
 from __future__ import annotations
@@ -103,6 +103,7 @@ class Measure:
 
     space: StateSpace
     weights: np.ndarray
+    _reach = None  # exact support that auxiliary_measure kept, or None
 
     def __init__(self, space: StateSpace, weights):
         w = np.asarray(weights, dtype=float).reshape(-1)
@@ -122,7 +123,11 @@ class Measure:
 
     @property
     def support(self) -> np.ndarray:
-        """Indices of atoms with strictly positive weight."""
+        """Indices of atoms with strictly positive weight; for a reference
+        from auxiliary_measure with atoms that underflowed to 0, the states
+        reachable from its start."""
+        if self._reach is not None:
+            return self._reach
         return np.flatnonzero(self.weights > 0.0)
 
     def of(self, where) -> float:
@@ -527,29 +532,18 @@ class _Ladder:
     Rung j holds M^(2^j) and the average A (I + M + ... + M^(2^j - 1)) / 2^j;
     climb() goes up a rung by A <- (A + A M^(2^j)) / 2. A power is squared
     by _span_product only when read, so a caller that stops at a rung never
-    pays for the next square. A floor zeroes the entries of each squared
-    power below it: flushed counts them, and bound compounds E <- 2E + E^2
-    + size * floor over the squarings that drop one, the distance from the
-    exact power of a substochastic M.
+    pays for the next square.
     """
 
-    def __init__(self, base: np.ndarray, rows=None, floor: float = 0.0):
-        self.rung, self.rows, self._floor = 0, rows, floor
+    def __init__(self, base: np.ndarray, rows=None):
+        self.rung, self.rows = 0, rows
         self._power, self._at = base, 0
-        self.flushed, self.bound = 0, 0.0
 
     @property
     def power(self) -> np.ndarray:
         while self._at < self.rung:
-            p = _span_product(self._power, self._power)
-            if self._floor:
-                low = (p < self._floor) & (p > 0.0)
-                dropped = int(np.count_nonzero(low))
-                p[low] = 0.0
-                self.flushed += dropped
-                self.bound = (self.bound * (2.0 + self.bound)
-                              + len(p) * self._floor * (dropped > 0))
-            self._power, self._at = p, self._at + 1
+            self._power = _span_product(self._power, self._power)
+            self._at += 1
         return self._power
 
     def climb(self, rungs: int = 1) -> "_Ladder":

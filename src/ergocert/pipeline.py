@@ -132,10 +132,14 @@ def four_way_verdicts(P: Kernel, m: Measure, horizon: int = 96) -> dict:
     behind them, and the agreement flag. A passing leakage whose
     certificate then fails to verify indicates an internal bug and
     raises. Each evidence row is computed once and read by every test.
+
+    P is decomposed once, so the limit row and the solver vote are not
+    independent; the tests hold the solver to a plain Cesaro doubling.
     """
-    ev = Evidence(P, m, horizon)
-    return _four_way(ev, index_profile(ev, m, horizon=horizon),
-                     solve_cesaro_adjoint(P, m))
+    with _shared_decompositions():
+        ev = Evidence(P, m, horizon)
+        return _four_way(ev, index_profile(ev, m, horizon=horizon),
+                         solve_cesaro_adjoint(P, m))
 
 
 def _four_way(ev: Evidence, prof, res) -> dict:

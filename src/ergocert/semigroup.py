@@ -260,21 +260,32 @@ def auxiliary_measure(S: Semigroup, mu: Measure, alpha: float = 1.0) -> Measure:
     through K or Q, which is asserted before returning: a null atom stays
     null under alpha R_alpha exactly when no rate leads into it from the
     support.
+
+    Where some float atom is 0, the exact support reach(supp mu), what the
+    graph K > 0 or Q > 0 leads to from supp mu, is kept for m.support.
     """
     _check_same_space(mu, S)
     if isinstance(S, Kernel):
-        A = np.eye(S.size) - 0.5 * S.rows
-        m = Measure(S.space, np.linalg.solve(A.T, 0.5 * mu.weights))
-        flow = m.weights @ S.rows
+        A, rates, rhs = np.eye(S.size) - 0.5 * S.rows, S.rows, 0.5 * mu.weights
     else:
         A, _ = _generator_solve(S, alpha, np.ones((S.size, 1)))
-        m = Measure(S.space, np.linalg.solve(A.T, mu.weights))
-        flow = m.weights @ S.rates
-    leak = float(flow[m.weights <= 0.0].sum())
+        rates, rhs = S.rates, mu.weights
+    m = Measure(S.space, np.linalg.solve(A.T, rhs))
+    null = m.weights <= 0.0
+    leak = float((m.weights @ rates)[null].sum())
     if leak > 1e-15 * max(1.0, m.mass):
         raise AssertionError(
             f"auxiliary measure leaks {leak:.3e} outside its support; "
             "this should be impossible by construction")
+    if null.any():
+        # reach(supp mu), one frontier of the graph at a time
+        adjacency = rates > 0.0
+        reach = frontier = mu.weights > 0.0
+        while frontier.any():
+            frontier = adjacency[frontier].any(axis=0) & ~reach
+            reach = reach | frontier
+        object.__setattr__(m, "_reach",
+                           _frozen_array(np.flatnonzero(reach), dtype=int))
     return m
 
 

@@ -1,20 +1,19 @@
 """Invariant measures: one ergodic decomposition, exact eigen solves and
-the constructive averaging route.
+the constructive Cesaro limit.
 
 decompose alone finds closed classes, their laws and their absorption
 weights, for kernels and generators alike. Both come from one
 elimination, blocked Grassmann-Taksar-Heyman censoring over the envelope
 of the rate block (_censor): no step subtracts, so every atom of a law
 is accurate relative to its own size. The absorption weights take the
-classes as absorbing targets. solve_eigen enumerates every
+classes as absorbing targets (_absorb). solve_eigen enumerates every
 invariant probability (one per closed class that keeps its mass),
 regardless of any reference measure. solve_cesaro_adjoint starts from a
 reference measure m and produces the largest invariant measure
 absolutely continuous w.r.t. m, which is legitimately the zero measure
-when no mass survives inside supp(m). It averages the measures m K^k
-on supp(m) up the doubling ladder of the kernel (core._Ladder), in
-kernel scale, with one absolute floor FLUSH_TOL on the entries of each
-power; the density nu / m is read off the limit, not iterated.
+when no mass survives inside supp(m). It reads the limit of the Cesaro
+averages of m under K killed outside supp(m) off the same decomposition:
+the closed classes inside supp(m), weighted by m's absorption into each.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Kernel, Measure, StateFn, StateSet, _Ladder,
-                   _require_positive_mass, push)
+from .core import (Kernel, Measure, StateFn, StateSet,
+                   _require_positive_mass)
 from .semigroup import Generator
 
 __all__ = [
@@ -41,9 +40,6 @@ __all__ = [
 ]
 
 EIGEN_RESIDUAL_TOL = 1e-12
-CESARO_TOL = 1e-10
-MAX_DOUBLINGS = 40
-FLUSH_TOL = 1e-150
 _BLOCK = 64
 """Pivots per block of _censor. On one BLAS thread of a 2-core x86_64
 host, the ou_grid(800) class law takes 34 ms at 32 pivots, 28 ms at 64
@@ -184,6 +180,25 @@ def _stationary(M: np.ndarray) -> np.ndarray:
         if x[k] > _RESCALE_AT:
             x[:k + 1] = np.ldexp(x[:k + 1], -int(np.frexp(x[k])[1]))
     return x / x.sum()
+
+
+def _absorb(a: np.ndarray, exits: np.ndarray) -> np.ndarray:
+    """Absorption probabilities h of a transient set into its targets.
+
+    a holds the rates between the transient states off its diagonal,
+    which is never read, and exits their rates to each absorbing target,
+    one column per target; both are overwritten. _censor eliminates the
+    states from the last one down, and h is back-substituted from the
+    first one up, each row its censored rates into h plus its exits,
+    over its exit rate. Every state must reach some target.
+    """
+    first_col, first_row = _profile(a)
+    s = _censor(a, first_col, first_row, exits)
+    h = np.zeros_like(exits)
+    for k in range(len(a)):
+        c0 = first_col[k]
+        h[k] = (a[k, c0:k] @ h[c0:k] + exits[k]) / s[k]
+    return h
 
 
 def _strong_components(adjacency: np.ndarray):
@@ -376,14 +391,7 @@ def _build_decomposition(S, A, shift, lam, sub) -> ErgodicDecomposition:
         exits = [A[np.ix_(transient, idx)].sum(axis=1) for idx in classes]
         if sub:
             exits.append(np.maximum(1.0 - A[transient].sum(axis=1), 0.0))
-        exits = np.stack(exits, axis=1)
-        a = A[np.ix_(transient, transient)]
-        first_col, first_row = _profile(a)
-        s = _censor(a, first_col, first_row, exits)
-        h = np.zeros_like(exits)
-        for k in range(transient.size):
-            c0 = first_col[k]
-            h[k] = (a[k, c0:k] @ h[c0:k] + exits[k]) / s[k]
+        h = _absorb(A[np.ix_(transient, transient)], np.stack(exits, axis=1))
         absorption[transient, :] = h[:, :len(classes)]
     # a run shares one decomposition among its callers
     absorption.setflags(write=False)
@@ -436,97 +444,71 @@ def solve_eigen(K: Kernel) -> tuple[InvariantResult, ...]:
 
 
 def solve_cesaro_adjoint(K: Kernel, m: Measure) -> InvariantResult:
-    """Constructive invariant measure as the limit of Cesaro averages.
+    """Constructive invariant measure: the limit of the Cesaro averages
+    (1/n) sum_{k<n} m K_S^k, read off the ergodic decomposition of K.
 
-    Runs nu_n = (1/n) sum_{k<n} m K_S^k on doubling horizons n = 2^j,
-    nu_{2n} = (nu_n + nu_n K_S^n) / 2, up to MAX_DOUBLINGS of them, with
-    Richardson extrapolation 2 nu_{2n} - nu_n to absorb the O(1/n) term;
-    the plain iterate settles once its step falls to CESARO_TOL in l1
-    relative to m's mass, the extrapolated one at a tenth of that. K_S
-    is K on supp(m) x supp(m): mass that the dynamics push out of supp(m)
-    dies in the averages, so the zero measure is a legitimate outcome
-    and is reported with its decay diagnostics rather than an error. The
-    density rho = nu / m is the adjoint iterate (1/n) sum_{k<n} (P*)^k 1
-    in L^1(m); it is exactly 0 off supp(m).
-
-    The doubling climbs K_S's ladder from the rows m (core._Ladder), which
-    for a (sub-)markovian K flushes each fresh power below FLUSH_TOL: that
-    keeps the products free of the subnormal numbers that slow a matrix
-    product tenfold. The ladder's flush bound is added to the slack of
-    both proof-step checks and reported as "flush_bound", beside the
-    number of "flushed_entries".
+    K_S is K killed outside S = m.support: mass that leaves S, or that a
+    sub-markovian row loses, dies. On a finite space the limit is exactly
+    m Pi_S = sum_j (m h_j) pi_j (Kemeny and Snell, Finite Markov Chains,
+    1960, ch. III), over the closed classes j of K that lie wholly inside
+    S; a class only partly inside S leaks in K_S, so the graph decides.
+    h_j is the absorption into class j under K_S: decompose's own rows
+    when no edge of K leaves S, else _absorb with the kept classes and
+    the killed mass as targets. With no class inside S the limit is the
+    legitimate zero measure. A "general" kernel raises decompose's
+    ValueError. Both proof steps are checked on measures, dividing by no
+    atom of m: nu K_S <= nu + EIGEN_RESIDUAL_TOL |nu| entrywise, and
+    |nu K_S| = |nu| within the same slack. The density nu / m is taken
+    where the float m > 0 (+inf where the quotient overflows) and reads 0
+    elsewhere, on atoms of S that underflowed too. Nothing is iterated:
+    iterations is 0 and converged True. The diagnostics list the kept
+    classes and count the underflowed atoms of S.
     """
     _require_positive_mass(m)
-    mass_total = m.mass
-    supp = m.support
-    mw = m.weights[supp]
+    decomp = decompose(K, verify=False)
+    w = m.weights
+    in_s = np.zeros(K.size, dtype=bool)
+    in_s[m.support] = True
+    kept = [j for j, cls in enumerate(decomp.classes) if in_s[cls.mask].all()]
+    h = decomp.absorption[:, kept]
+    if kept and K.rows[np.ix_(in_s, ~in_s)].any():
+        # every edge out of S starts outside the kept classes
+        in_kept = np.any([decomp.classes[j].mask for j in kept], axis=0)
+        rest = np.flatnonzero(in_s & ~in_kept)
+        rows = K.rows[rest]
+        exits = [rows[:, decomp.classes[j].mask].sum(axis=1) for j in kept]
+        killed = rows[:, ~in_s].sum(axis=1)
+        if K.kind == "sub-markovian":
+            killed += np.maximum(1.0 - rows.sum(axis=1), 0.0)
+        h[rest] = _absorb(rows[:, rest],
+                          np.stack(exits + [killed], axis=1))[:, :len(kept)]
+    laws = [decomp.class_measures[j].weights for j in kept]
+    nu = (w @ h) @ np.reshape(laws, (len(kept), K.size))
 
-    block = K.rows[np.ix_(supp, supp)]   # K_S
-    ladder = _Ladder(block, rows=mw,
-                     floor=FLUSH_TOL if K.kind != "general" else 0.0)
-    prev_extr = None
-    mode = "exhausted"
-    deltas = []
-    masses = [float(mw.sum())]           # horizon 1
-    j = 0
-    for j in range(1, MAX_DOUBLINGS + 1):
-        nu, nu_next = ladder.rows, ladder.climb().rows
-        delta = float(np.abs(nu_next - nu).sum()) / mass_total
-        deltas.append(delta)
-        extr = 2.0 * nu_next - nu
-        masses.append(float(nu_next.sum()))
-        if delta <= CESARO_TOL:
-            mode = "plain"
-            break
-        if prev_extr is not None:
-            edelta = float(np.abs(extr - prev_extr).sum()) / mass_total
-            if edelta <= 0.1 * CESARO_TOL:
-                mode = "extrapolated"
-                break
-        prev_extr = extr
-    nu = np.clip(extr, 0.0, None) if mode == "extrapolated" else ladder.rows
+    stepped = nu @ K.rows
+    killed_step = np.where(in_s, stepped, 0.0)
+    slack = EIGEN_RESIDUAL_TOL * float(nu.sum())
+    excess = float((killed_step - nu).max())
+    if excess > slack:
+        raise ArithmeticError(
+            f"limit measure is not sub-invariant (excess {excess:.3e})")
+    gap = abs(float(killed_step.sum()) - float(nu.sum()))
+    if gap > slack:
+        raise ArithmeticError(
+            f"the kernel does not conserve the limit mass (gap {gap:.3e})")
 
-    converged = mode != "exhausted"
-    rs = nu / mw
-    if converged:
-        # the two proof steps, numerically: sub-invariance of the density,
-        # then mass conservation forcing equality
-        slack = 100.0 * max(CESARO_TOL, deltas[-1]) + ladder.bound
-        stepped = nu @ block
-        over = float(np.max((stepped / mw - rs) / max(1.0, rs.max())))
-        if over > slack:
-            raise ArithmeticError(
-                f"limit density is not sub-invariant (excess {over:.3e})")
-        gap = abs(float(stepped.sum()) - float(nu.sum())) / mass_total
-        if gap > slack:
-            raise ArithmeticError(
-                f"the kernel does not conserve the limit mass "
-                f"(gap {gap:.3e})")
-
-    weights = np.zeros(K.size)
-    weights[supp] = nu
-    rho = np.zeros(K.size)
-    rho[supp] = rs
-    nu_m = Measure(K.space, weights)
-    residual = float(np.abs(push(nu_m, K).weights - weights).sum())
-
-    decay = (masses[-1] / masses[-3] if len(masses) >= 3 and masses[-1] > 0
-             and masses[-3] > 0 else None)
+    with np.errstate(over="ignore"):
+        rho = np.divide(nu, w, out=np.zeros(K.size), where=w > 0.0)
     return InvariantResult(
-        nu=nu_m,
-        density=StateFn(K.space, rho),
-        residual=residual,
+        nu=Measure(K.space, nu),
+        density=StateFn(K.space, rho, extended=bool(np.isinf(rho).any())),
+        residual=float(np.abs(stepped - nu).sum()),
         method="cesaro-adjoint",
-        iterations=j,
-        converged=converged,
+        iterations=0,
+        converged=True,
         diagnostics={
-            "mode": mode,
-            "horizon_log2": j,
-            "deltas": deltas[-8:],
-            "mass_trajectory": masses[-8:],
-            "mass_decay_per_doubling": decay,
-            "flushed_entries": ladder.flushed,
-            "flush_bound": ladder.bound,
+            "kept_classes": [list(decomp.classes[j].members) for j in kept],
+            "underflowed_atoms": int(np.count_nonzero(in_s & (w == 0.0))),
         },
     )
 

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ergocert.core import Kernel, Measure, StateSpace, StateSet
-from ergocert.semigroup import Generator
+from ergocert.core import Kernel, Measure, StateSpace, StateSet, dirac, push
+from ergocert.scenarios import birth_death
+from ergocert.semigroup import Generator, auxiliary_measure
 from ergocert.certificates.phi import (
     AlmostInvarianceParams,
     PhiLinear,
@@ -96,6 +97,17 @@ class TestAbsoluteContinuity:
         cert = check_absolute_continuity(ABSORBING_PAIR, DELTA0)
         assert not cert.holds
         assert cert.witness == {"atom": "s1", "leak": 1.0}
+
+    def test_null_atoms_come_from_the_support(self):
+        # 794 atoms of this auxiliary measure underflowed to 0, yet every
+        # state is reachable: none of them is null
+        K = birth_death(1200, 0.7).kernel
+        m = auxiliary_measure(K, push(dirac(K.space, 0), K))
+        cert = check_absolute_continuity(K, m)
+        assert cert.holds
+        assert cert.constants["null_atoms"] == 0
+        float_only = check_absolute_continuity(K, Measure(K.space, m.weights))
+        assert float_only.constants["null_atoms"] == 794
 
     def test_generator_probed_through_resolvent(self):
         cert = check_absolute_continuity(SYM, DELTA0)

@@ -384,12 +384,11 @@ class TestLadderProducts:
         assert len(products) == 8
 
     def test_cesaro_adjoint(self, monkeypatch):
+        # the limit is read off the decomposition: the ladder never climbs
         bundle = birth_death(600, 0.7)
         K = bundle.kernel
         products = product_spy(monkeypatch)
         res = solve_cesaro_adjoint(K, Measure(K.space, np.full(600, 1 / 600)))
-        assert (len(products), res.iterations) == (13, 14)
-        assert res.diagnostics["mode"] == "extrapolated"
-        products.clear()
+        assert (len(products), res.iterations) == (0, 0)
         res = solve_cesaro_adjoint(K, bundle.m)
-        assert (len(products), res.iterations) == (0, 1)
+        assert (len(products), res.iterations) == (0, 0)

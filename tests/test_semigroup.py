@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from ergocert.certificates.almost import check_occupation_half
 from ergocert.certificates.averages import (continuous_mean_rows,
@@ -222,6 +222,30 @@ class TestAuxiliaryMeasure:
         P = Kernel(S2, [[0.5, 0.5], [0.5, 0.5]])
         m = auxiliary_measure(P, Measure(S2, [1.0, 0.0]))
         assert (m.weights > 0).all()
+
+    def test_underflowed_atoms_stay_in_the_support(self):
+        # the harnack reference of a steep chain: 406 of 1200 atoms are
+        # positive in floats, and every state is reached from the start
+        K = birth_death(1200, 0.7).kernel
+        m = auxiliary_measure(K, push(dirac(K.space, 0), K))
+        assert np.count_nonzero(m.weights) == 406
+        assert_array_equal(m.support, np.arange(1200))
+        # any other measure reads its support off its float weights
+        assert_array_equal(Measure(K.space, m.weights).support,
+                           np.arange(406))
+
+    def test_unreached_states_stay_out_of_the_support(self):
+        # the rates 1e-200 leave state 2 at 1e-400, below the float range;
+        # state 3 is never reached from state 0
+        rates = np.zeros((4, 4))
+        rates[0, 1] = rates[1, 2] = 1e-200
+        rates[2, 0] = rates[3, 0] = 1.0
+        G = Generator(StateSpace.range(4), rates - np.diag(rates.sum(axis=1)))
+        m = auxiliary_measure(G, dirac(G.space, 0))
+        assert_array_equal(m.weights > 0.0, [True, True, False, False])
+        assert_array_equal(m.support, [0, 1, 2])
+        K = Kernel(S2, [[0.0, 1.0], [0.0, 1.0]])
+        assert_array_equal(auxiliary_measure(K, dirac(S2, 1)).support, [1])
 
     def test_general_kernel_past_row_sum_two_is_rejected(self):
         # I - K/2 is no M-matrix once a row sum reaches 2: the push turns

@@ -22,7 +22,7 @@ from ergocert.solver import (
     solve_eigen,
     verify_count_bound,
 )
-from oracles import gth_stationary, killed_cesaro_limit, product_spy
+from oracles import cesaro_doubling, gth_stationary, product_spy
 
 S2 = StateSpace.range(2)
 S3 = StateSpace.range(3)
@@ -518,39 +518,83 @@ class TestSolveCesaroAdjoint:
         with pytest.raises(ValueError, match="positive mass"):
             solve_cesaro_adjoint(TWO_STATE, Measure(S2, [0.0, 0.0]))
 
-    def test_exhausted_doublings_reported(self, monkeypatch):
-        # the cap is read at call time; this chain needs 14 doublings
-        monkeypatch.setattr(solver, "MAX_DOUBLINGS", 2)
+    def test_slow_chain_needs_no_doublings(self):
+        # slow to mix: the doubling oracle needs 14 doublings here
         K = birth_death(30, 0.55).kernel
-        res = solve_cesaro_adjoint(K, Measure(K.space, np.full(30, 1 / 30)))
-        assert not res.converged
-        assert res.diagnostics["mode"] == "exhausted"
-        assert res.iterations == 2
+        m = Measure(K.space, np.full(30, 1 / 30))
+        res = solve_cesaro_adjoint(K, m)
+        assert (res.iterations, res.converged) == (0, True)
+        assert res.diagnostics == {"kept_classes": [list(range(30))],
+                                   "underflowed_atoms": 0}
+        assert np.abs(res.nu.weights - cesaro_doubling(K, m)).sum() <= 2e-12
+
+    def test_general_kernel_has_no_decomposition(self):
+        K = Kernel(S2, TWO_STATE.rows, kind="general")
+        with pytest.raises(ValueError, match="decomposition needs"):
+            solve_cesaro_adjoint(K, Measure(S2, [0.5, 0.5]))
+
+    def test_killed_mass_leaves_through_the_censored_states(self):
+        # supp(m) = {0, 1, 2}: state 0 moves to state 3 at 0.1, where the
+        # mass dies although K leads it on into {2}, and to state 1 at
+        # 0.5; state 1 loses 0.2 and feeds the closed class {2} at 0.3
+        K = Kernel(StateSpace.range(4), [[0.4, 0.5, 0.0, 0.1],
+                                         [0.0, 0.5, 0.3, 0.0],
+                                         [0.0, 0.0, 1.0, 0.0],
+                                         [0.0, 0.0, 1.0, 0.0]],
+                   kind="sub-markovian")
+        m = Measure(K.space, [0.25, 0.25, 0.5, 0.0])
+        res = solve_cesaro_adjoint(K, m)
+        assert res.diagnostics["kept_classes"] == [[2]]
+        # the walk ends in {2} with probability 0.6 from 1, 0.5 from 0
+        assert_allclose(res.nu.weights,
+                        [0.0, 0.0, 0.5 + 0.25 * 0.6 + 0.25 * 0.5, 0.0],
+                        rtol=1e-15)
+        assert np.abs(res.nu.weights - cesaro_doubling(K, m)).sum() <= 2e-12
+
+    def test_class_partly_inside_the_support_leaks(self):
+        # {0, 1} is a closed class of K, but m charges only state 0
+        K = Kernel(S3, [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+        res = solve_cesaro_adjoint(K, Measure(S3, [1.0, 0.0, 1.0]))
+        assert res.diagnostics["kept_classes"] == [[2]]
+        assert_array_equal(res.nu.weights, [0.0, 0.0, 1.0])
+
+    def test_random_kernels_from_a_dirac_start(self):
+        # edges of 1e-300 leave atoms near 1e-301, or subnormal ones, on
+        # the way to a closed class: the limit keeps all of the mass
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            n = int(rng.integers(3, 30))
+            density = rng.choice([0.1, 0.3, 0.6])
+            edges = rng.random((n, n)) < density
+            rows = np.where(edges, rng.random((n, n)), 0.0)
+            faint = ~edges & (rng.random((n, n)) < 0.05)
+            rows[faint] = rng.choice([1e-9, 1e-13, 1e-300],
+                                     size=int(faint.sum()))
+            empty = rows.sum(axis=1) == 0.0
+            rows[empty, rng.integers(0, n, int(empty.sum()))] = 1.0
+            K = Kernel(StateSpace.range(n), rows / rows.sum(axis=1,
+                                                            keepdims=True))
+            m = auxiliary_measure(K, dirac(K.space, int(rng.integers(n))))
+            res = solve_cesaro_adjoint(K, m)
+            assert abs(res.nu.mass - 1.0) <= 1e-12, trial
 
 
 class TestCesaroSupportBlock:
-    """The doubling on supp(m), flushed in kernel scale, against the
-    killed-kernel limit m Pi_S."""
+    """The exact limit on supp(m) against the plain doubling of
+    oracles.cesaro_doubling."""
 
     @staticmethod
     def solve(K, m):
         res = solve_cesaro_adjoint(K, m)
-        gap = float(np.abs(res.nu.weights - killed_cesaro_limit(K, m)).sum())
+        gap = float(np.abs(res.nu.weights - cesaro_doubling(K, m)).sum())
         return res, gap
 
-    def test_birth_death_uniform_start_flushes(self):
+    def test_birth_death_uniform_start_matches_the_doubling(self):
         K = birth_death(600, 0.7).kernel
         m = Measure(K.space, np.full(600, 1 / 600))
         res, gap = self.solve(K, m)
-        assert res.diagnostics["flushed_entries"] > 0
-        assert 0.0 < res.diagnostics["flush_bound"] < 1e-140
         assert gap <= 2e-12
-        # a general kernel has no norm bound on its powers: no flush
-        plain = solve_cesaro_adjoint(Kernel(K.space, K.rows, kind="general"),
-                                     m)
-        assert plain.diagnostics["flushed_entries"] == 0
-        assert plain.diagnostics["flush_bound"] == 0.0
-        assert np.abs(plain.nu.weights - res.nu.weights).sum() <= 2e-12
+        assert_allclose(res.nu.mass, 1.0, rtol=1e-12)
 
     def test_block_chain_reference_on_one_block(self):
         K = block_chain(3, 40).kernel
@@ -575,40 +619,61 @@ class TestCesaroSupportBlock:
         assert res.converged
         assert gap <= 2e-12
 
-    def test_flush_within_its_bound_on_subnormal_reference(self,
-                                                           monkeypatch):
-        K, m = self.harnack_reference(600, 0.55)
-        assert (m.weights[m.support] < np.finfo(float).tiny).any()
-        flushed = solve_cesaro_adjoint(K, m)
-        assert flushed.diagnostics["flushed_entries"] > 0
-        monkeypatch.setattr(solver, "FLUSH_TOL", 0.0)
-        exact = solve_cesaro_adjoint(K, m)
-        assert exact.diagnostics["flushed_entries"] == 0
-        assert flushed.iterations == exact.iterations
-        assert flushed.diagnostics["mode"] == exact.diagnostics["mode"]
-        gap = np.abs(flushed.nu.weights - exact.nu.weights).sum()
-        assert gap <= flushed.diagnostics["flush_bound"] + 1e-12
-
-    @pytest.mark.xfail(strict=True, raises=ArithmeticError,
-                       reason="FOUND 26: the density-scale check divides "
-                              "by the subnormal atom m(a) = 3.5e-323")
-    def test_harnack_reference_of_a_steep_chain_solves(self):
-        K, m = self.harnack_reference(300, 0.9)
+    def test_underflowed_reference_keeps_its_structural_support(self):
+        # 524 of the 1200 float atoms are positive; the other 676 only
+        # underflowed, and on the float support the limit would be 0
+        K, m = self.harnack_reference(1200, 0.55)
+        assert np.count_nonzero(m.weights) == 524
+        assert_array_equal(m.support, np.arange(1200))
         res = solve_cesaro_adjoint(K, m)
-        assert res.converged
-        assert_allclose(res.nu.mass, 1.0, rtol=1e-9)
+        assert res.diagnostics == {"kept_classes": [list(range(1200))],
+                                   "underflowed_atoms": 676}
+        assert_allclose(res.nu.mass, 1.0, rtol=1e-12)
+        (eigen,) = solve_eigen(K)
+        assert_array_equal(res.nu.weights > 0.0, eigen.nu.weights > 0.0)
+        assert (res.density.values[m.weights == 0.0] == 0.0).all()
+        K, m = self.harnack_reference(600, 0.55)
+        assert self.solve(K, m)[1] <= 2e-12
 
-    def test_density_vanishes_off_the_support_in_plain_mode(self):
-        # m is invariant on the swap {0, 1}, so the plain iterate settles
-        # at the first doubling; state 2 is off supp(m)
+    def test_harnack_reference_of_a_steep_chain_solves(self):
+        # FOUND 26: the float reference ends at atom 250 with the
+        # subnormal weight 3.5e-323, and nothing may divide by it
+        K, m = self.harnack_reference(300, 0.9)
+        res, gap = self.solve(K, m)
+        assert res.converged
+        assert_allclose(res.nu.mass, 1.0, rtol=1e-12)
+        assert gap <= 2e-12
+
+    def test_underflowed_bundle_reference_has_no_invariant_part(self):
+        # the bundle's closed-form law is positive on 880 of 1200 atoms in
+        # floats; killed outside them the chain leaks at atom 879
+        bundle = birth_death(1200, 0.7)
+        assert np.count_nonzero(bundle.m.weights) == 880
+        res = solve_cesaro_adjoint(bundle.kernel, bundle.m)
+        assert res.nu.mass == 0.0
+        assert res.diagnostics["kept_classes"] == []
+
+    def test_density_vanishes_off_the_support(self):
+        # m is invariant on the swap {0, 1}; state 2 is off supp(m)
         K = Kernel(S3, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        res = solve_cesaro_adjoint(K, Measure(S3, [0.5, 0.5, 0.0]))
-        assert res.diagnostics["mode"] == "plain"
+        res, gap = self.solve(K, Measure(S3, [0.5, 0.5, 0.0]))
+        assert gap == 0.0
         assert_array_equal(res.density.values, [1.0, 1.0, 0.0])
+
+    def test_density_past_the_float_range_reads_inf(self):
+        # m(2) = 1e-320 is subnormal, and all of the limit mass sits there
+        K = Kernel(S3, [[1.0, 1e-200, 0.0], [0.0, 1.0, 1e-120],
+                        [0.0, 0.0, 1.0]])
+        m = auxiliary_measure(K, dirac(S3, 0))
+        res = solve_cesaro_adjoint(K, m)
+        assert_array_equal(res.nu.weights, [0.0, 0.0, 1.0])
+        assert res.density.extended
+        assert_array_equal(res.density.values, [0.0, 0.0, np.inf])
 
 
 class TestSpanProductOracle:
-    """The doubling with every product dense gives the same answer."""
+    """The doubling with every product dense reaches the limit that the
+    solver reads off the decomposition, with no product of its own."""
 
     @pytest.mark.parametrize("case", ["birth_death", "block_chain"])
     def test_dense_products_agree(self, case, monkeypatch):
@@ -618,15 +683,11 @@ class TestSpanProductOracle:
         else:
             bundle = block_chain(k=4, block_size=150)
             K, m = bundle.kernel, bundle.m
-        spanned = solve_cesaro_adjoint(K, m)
         products = product_spy(monkeypatch, dense=True)
-        dense = solve_cesaro_adjoint(K, m)
-        assert products  # the ladder squared through the dense oracle
-        assert spanned.iterations == dense.iterations
-        for key in ("mode", "flushed_entries"):
-            assert spanned.diagnostics[key] == dense.diagnostics[key]
-        gap = np.abs(spanned.density.values - dense.density.values)
-        assert gap @ m.weights <= 1e-12 * (dense.density.values @ m.weights)
+        res = solve_cesaro_adjoint(K, m)
+        assert products == []
+        dense = cesaro_doubling(K, m)
+        assert np.abs(res.nu.weights - dense).sum() <= 2e-12 * m.mass
 
 
 class TestSolveContinuous:
