@@ -6,8 +6,9 @@ decomposition, never from long runs; the limiting horizon is tagged with
 the string "limit" so reports can tell it apart from finite evidence.
 The discrete chains power_rows and mean_rows live in ergocert.semigroup,
 next to kb_measure, and are re-exported here: every pushed row m K^n or
-m S_n in the package is read off that one copy. A generator's rows climb
-the doubling ladder of core along its time grid.
+m S_n in the package is read off that one copy. A generator's rows start
+from the uniformization series of semigroup._flow and climb the doubling
+ladder of core along their time grid.
 The leakage, invariance and index checks read these rows through the
 Evidence object of certificates.almost, which calls each helper at most
 once per (system, reference, horizon) and shares the rows among them.
@@ -17,9 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Measure, _grid_ladders, _Ladder
-from ..semigroup import (Generator, kb_measure, mean_rows, power_rows,
-                         transition_at)
+from ..core import Measure, _grid_ladders
+from ..semigroup import Generator, _flow, mean_rows, power_rows
 from ..solver import averaging_projector
 
 __all__ = [
@@ -48,22 +48,21 @@ def continuous_power_rows(G: Generator, m: Measure, ts) -> list:
     """(t, m composed with P_t) along a time grid.
 
     A doubling time squares the transition before it on the ladder of
-    core._grid_ladders; any other time computes a fresh transition.
+    core._grid_ladders; any other time starts a fresh semigroup._flow.
     """
-    ladders = _grid_ladders(map(float, ts),
-                            lambda t: _Ladder(transition_at(G, t).rows))
+    ladders = _grid_ladders(map(float, ts), lambda t: _flow(G, t))
     return [(t, m.weights @ ladder.power) for t, ladder in ladders]
 
 
 def continuous_mean_rows(G: Generator, m: Measure, ts) -> list:
     """(t, time average of m P_s over [0, t]) along a time grid.
 
-    A fresh time integrates by Simpson quadrature; a doubling climbs the
-    ladder of P_t by the exact splitting avg_{2t} = (avg_t + avg_t P_t) / 2,
-    so the quadrature error never compounds.
+    A fresh time sums the uniformization series of semigroup._flow; a
+    doubling climbs the ladder of P_t by the exact splitting
+    avg_{2t} = (avg_t + avg_t P_t) / 2.
     """
-    ladders = _grid_ladders(map(float, ts), lambda t: _Ladder(
-        transition_at(G, t).rows, rows=kb_measure(G, m, t).weights))
+    ladders = _grid_ladders(map(float, ts),
+                            lambda t: _flow(G, t, m.weights))
     return [(t, ladder.rows) for t, ladder in ladders]
 
 

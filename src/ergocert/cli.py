@@ -27,7 +27,8 @@ import numpy as np
 
 from .core import Kernel, StateFn
 from .semigroup import Generator, discrete_resolvent, resolvent
-from .solver import solve_cesaro_adjoint, solve_continuous, solve_eigen
+from .solver import (_shared_decompositions, solve_cesaro_adjoint,
+                     solve_continuous, solve_eigen)
 from .convergence import decay_report
 from .scenarios import Scenario, generate, scenario_ids
 from .harnack import (PerturbationSpec, certify_harnack_pipeline,
@@ -263,8 +264,9 @@ def _cmd_invariant(args):
         results = list(solve_continuous(system))
     elif method == "auto":
         if m is not None:
-            results = [solve_cesaro_adjoint(system, m)]
-            results.extend(solve_eigen(system))
+            with _shared_decompositions():
+                results = [solve_cesaro_adjoint(system, m)]
+                results.extend(solve_eigen(system))
         else:
             results = list(solve_eigen(system))
     elif method == "cesaro":

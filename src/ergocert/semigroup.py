@@ -4,8 +4,10 @@ A semigroup is either a Kernel (unit-time step, powers give the rest) or
 a Generator (conservative rate matrix, transition matrices come from
 uniformization). A measure goes through a resolvent by one transposed
 solve in auxiliary_measure, and the operators are formed only to be read.
-Time integrals use composite Simpson quadrature on an exact uniform grid;
-long times climb the doubling ladder of core back from a halved time.
+Every transition and time average of a generator comes from one
+uniformization series, _series, which _flow runs at a time halved until
+the Poisson weights stay in range before it climbs the doubling ladder of
+core back up.
 
 The one discrete chain lives here: power_rows yields m K^n and mean_rows
 sums those rows into m S_n, step by step. Each push skips the structural
@@ -19,7 +21,7 @@ both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from typing import Union
 
 import numpy as np
@@ -32,6 +34,7 @@ from .core import (
     _check_same_space,
     _frozen_array,
     _Ladder,
+    _span_product,
     _span_pushes,
 )
 
@@ -46,10 +49,8 @@ __all__ = [
     "auxiliary_measure",
     "occupation_density",
     "kb_measure",
-    "SIMPSON_STEPS_PER_UNIT",
 ]
 
-SIMPSON_STEPS_PER_UNIT = 64
 _SERIES_TAIL = 1e-14
 _MAX_DIRECT_LAMT = 200.0
 
@@ -161,34 +162,57 @@ def uniformized(G: Generator) -> Kernel:
                   on_rowsum="renormalize")
 
 
-def _series_transition(G: Generator, t: float) -> np.ndarray:
-    """Poisson-weighted series for e^{tQ}, truncated below 1e-14 tail mass."""
+def _series(G: Generator, t: float, start=None):
+    """(P_t, time average of start over [0, t]) by one Poisson series.
+
+    With N ~ Poisson(lam t) and P = I + Q/lam, P_t = sum_k P(N = k) P^k
+    and (1/t) integral_0^t start P_s ds = sum_k P(N > k)/(lam t) start P^k
+    (uniformization). The tails P(N > k) are summed from the far end, so
+    none of them cancels and P(N > 0) keeps its relative accuracy at tiny
+    lam t. The series stops at the first k with P(N > k) <= 1e-14, which
+    bounds the lost mass of P_t and, since E(N - k - 1)^+ <= lam t P(N > k),
+    of the average. The powers P^k are spanned products. Valid for
+    lam t <= _MAX_DIRECT_LAMT, where exp(-lam t) is a normal float. With
+    lam t = 0 (a zero-rate generator, or t = 0) the flow is the identity
+    and the average is start itself; without start it is None.
+    """
     lam_t = G.lam * t
-    p_lam = _uniformized_step(G)
-    n = G.size
-    weight = float(np.exp(-lam_t))
-    term = np.eye(n)
-    acc = weight * term
-    cum = weight
-    k = 0
-    limit = int(lam_t + 40.0 * np.sqrt(lam_t + 1.0) + 60)
-    while 1.0 - cum > _SERIES_TAIL and k < limit:
-        k += 1
-        term = term @ p_lam
-        weight *= lam_t / k
-        acc += weight * term
-        cum += weight
-    return acc
+    if lam_t == 0.0:
+        return np.eye(G.size), start
+    k = np.arange(1.0, int(lam_t + 40.0 * np.sqrt(lam_t + 1.0) + 60))
+    pois = np.exp(-lam_t) * np.cumprod(np.append(1.0, lam_t / k))
+    tails = np.append(np.cumsum(pois[:0:-1])[::-1], 0.0)
+    last = int(np.argmax(tails <= _SERIES_TAIL))
+    powers = chain([np.eye(G.size)], accumulate(
+        repeat(_uniformized_step(G), last), _span_product))
+    P = avg = 0.0
+    for w, a, term in zip(pois, tails / lam_t, powers):
+        P = P + w * term
+        if start is not None:
+            avg = avg + a * (start @ term)
+    return P, None if start is None else avg
+
+
+def _flow(G: Generator, t: float, start=None) -> _Ladder:
+    """Doubling ladder of P_t, with the time average of start as its rows.
+
+    t is halved until lam t is at most _MAX_DIRECT_LAMT, which keeps the
+    Poisson weights of _series well inside double range; the ladder then
+    climbs back to t, the average by avg_2s = (avg_s + avg_s P_s) / 2.
+    """
+    halvings = 0
+    while G.lam * t > _MAX_DIRECT_LAMT:
+        t /= 2.0
+        halvings += 1
+    return _Ladder(*_series(G, t, start)).climb(halvings)
 
 
 def transition_at(S: Semigroup, t) -> Kernel:
     """Transition kernel after time t.
 
     Discrete semigroups require integer t >= 0 and use binary powers.
-    Continuous semigroups use uniformization; for lam*t beyond 200 the
-    time is halved until it is not, and the transition at the halved
-    time climbs its doubling ladder back (core._Ladder), which keeps the
-    Poisson weights well inside double range.
+    Continuous semigroups read the power of _flow: one uniformization
+    series, squared back up from a halved time when lam t exceeds 200.
     """
     if isinstance(S, Kernel):
         if t != int(t):
@@ -197,16 +221,9 @@ def transition_at(S: Semigroup, t) -> Kernel:
         return power(S, int(t))
     if t < 0:
         raise ValueError("time must be nonnegative")
-    t = float(t)
-    if t == 0.0 or S.lam == 0.0:
-        return Kernel(S.space, np.eye(S.size))
-    halvings, tt = 0, t
-    while S.lam * tt > _MAX_DIRECT_LAMT:
-        tt /= 2.0
-        halvings += 1
-    rows = _Ladder(_series_transition(S, tt)).climb(halvings).power
-    return Kernel(S.space, rows, kind="markovian",
-                  on_rowsum="renormalize" if halvings else "reject")
+    flow = _flow(S, float(t))
+    return Kernel(S.space, flow.power, kind="markovian",
+                  on_rowsum="renormalize" if flow.rung else "reject")
 
 
 def _generator_solve(G: Generator, alpha: float, rhs: np.ndarray):
@@ -289,33 +306,11 @@ def auxiliary_measure(S: Semigroup, mu: Measure, alpha: float = 1.0) -> Measure:
     return m
 
 
-def _simpson_pushes(G: Generator, start: np.ndarray, t: float) -> np.ndarray:
-    """integral_0^t (start . P_s) ds by composite Simpson on a uniform grid.
-
-    The grid has SIMPSON_STEPS_PER_UNIT steps per unit time, at least 2
-    and rounded up to an even count. Its values are exact semigroup
-    points: P_{jh} = (P_h)^j.
-    """
-    q = max(2, int(np.ceil(SIMPSON_STEPS_PER_UNIT * t)))
-    q += q % 2
-    h = t / q
-    step = transition_at(G, h).rows
-    weights = np.ones(q + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights *= h / 3.0
-    v = start.astype(float).copy()
-    acc = weights[0] * v
-    for j in range(1, q + 1):
-        v = v @ step
-        acc += weights[j] * v
-    return acc
-
-
 def occupation_density(S: Semigroup, m: Measure, t: float) -> StateFn:
     """Density of the expected occupation up to time t, relative to m.
 
-    Computes integral_0^t d(m P_s)/dm ds on the support of m; atoms
+    Computes integral_0^t d(m P_s)/dm ds on the support of m, t times the
+    time average that _flow reads off the uniformization series; atoms
     outside the support get zero, mirroring the adjoint convention.
     """
     if isinstance(S, Kernel):
@@ -324,7 +319,7 @@ def occupation_density(S: Semigroup, m: Measure, t: float) -> StateFn:
     _check_same_space(m, S)
     if t <= 0:
         raise ValueError("t must be positive")
-    integ = _simpson_pushes(S, m.weights, t)
+    integ = t * _flow(S, float(t), m.weights).rows
     out = np.zeros(S.size)
     supp = m.weights > 0.0
     out[supp] = integ[supp] / m.weights[supp]
@@ -334,7 +329,7 @@ def occupation_density(S: Semigroup, m: Measure, t: float) -> StateFn:
 def kb_measure(S: Semigroup, mu: Measure, t) -> Measure:
     """Time-averaged push of a start distribution.
 
-    Continuous: (1/t) integral_0^t mu P_s ds by Simpson quadrature.
+    Continuous: (1/t) integral_0^t mu P_s ds, the rows of _flow.
     Discrete: (1/n) sum_{k<n} mu P^k with integer n >= 1.
     """
     _check_same_space(mu, S)
@@ -345,5 +340,4 @@ def kb_measure(S: Semigroup, mu: Measure, t) -> Measure:
         return Measure(S.space, last_row(mean_rows(S, mu, n, n0=n)))
     if t <= 0:
         raise ValueError("t must be positive")
-    integ = _simpson_pushes(S, mu.weights, float(t))
-    return Measure(S.space, integ / float(t))
+    return Measure(S.space, _flow(S, float(t), mu.weights).rows)

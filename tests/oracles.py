@@ -7,12 +7,14 @@ subtraction-free stationary law that the decomposition is held to on
 stiff generators and dense classes; cesaro_doubling approaches the
 Cesaro limit that solve_cesaro_adjoint reads off the decomposition, by
 plain dense doubling. product_spy counts the products of the doubling
-ladder, and with dense=True makes each one a plain L @ R.
+ladder and of the uniformization series, and with dense=True makes each
+one a plain L @ R. expm_flow is the matrix-exponential reference for a
+generator's transition and time average.
 """
 
 import numpy as np
 
-from ergocert import core
+from ergocert import core, semigroup
 from ergocert.certificates.phi import PhiLinear, PhiPower, PhiTable
 
 
@@ -114,11 +116,12 @@ def cesaro_doubling(K, m, tol=1e-12, max_doublings=40):
 
 
 def product_spy(monkeypatch, dense=False):
-    """Record the operand shapes of every core._span_product call.
+    """Record the operand shapes of every _span_product call.
 
     The spy sits at core._span_product, the name the doubling ladder
-    looks the product up by. With dense=True each product is L @ R, the
-    oracle that the spanned products must match.
+    looks the product up by, and at semigroup._span_product, the name the
+    uniformization series imports. With dense=True each product is L @ R,
+    the oracle that the spanned products must match.
     """
     calls = []
     spanned = core._span_product
@@ -127,5 +130,27 @@ def product_spy(monkeypatch, dense=False):
         calls.append(L.shape)
         return L @ R if dense else spanned(L, R)
 
-    monkeypatch.setattr(core, "_span_product", spy)
+    for module in (core, semigroup):
+        monkeypatch.setattr(module, "_span_product", spy)
     return calls
+
+
+def expm_flow(G, m, t):
+    """(m P_t, (1/t) integral_0^t m P_s ds) from one matrix exponential.
+
+    Van Loan's block form (IEEE TAC 23(3), 1978): the exponential of
+    [[Q^T t, m^T], [0, 0]] holds e^{Q^T t} in its top left block and
+    integral_0^1 e^{s Q^T t} ds m^T, the transposed time average, in its
+    top right column. One row m keeps the block at n + 1 states, where
+    the identity in place of m^T would double it. scipy's expm loses
+    digits on rates near 1e6, so it is a reference only at milder
+    stiffness.
+    """
+    from scipy.linalg import expm
+
+    n = G.size
+    block = np.zeros((n + 1, n + 1))
+    block[:n, :n] = G.rates.T * t
+    block[:n, n] = m.weights
+    e = expm(block)
+    return e[:n, :n] @ m.weights, e[:n, n]

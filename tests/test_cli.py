@@ -10,9 +10,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ergocert import io as eio
+from ergocert import solver
 from ergocert.cli import main
 from ergocert.core import Kernel, Measure, StateFn, StateSet, StateSpace
 from ergocert.semigroup import Generator
+from test_pipeline import _count_calls
 
 S2 = StateSpace.range(2)
 TWO_STATE = Kernel(S2, [[0.9, 0.1], [0.2, 0.8]])
@@ -197,6 +199,21 @@ class TestInvariant:
         for r in doc["invariants"]:
             assert_allclose(r["weights"], [2 / 3, 1 / 3], atol=1e-8)
             assert r["converged"]
+
+    def test_auto_decomposes_once(self, tmp_path, capsys, monkeypatch):
+        # the constructive and the spectral solve share one decomposition
+        bundle = tmp_path / "bd300"
+        run(capsys, ["gen", "--scenario", "birth_death", "--params",
+                     '{"n": 300, "p_down": 0.7}', "--out-dir", str(bundle)])
+        calls = {}
+        _count_calls(monkeypatch, calls, solver, "_strong_components")
+        code, out = run(capsys, ["invariant",
+                                 "--kernel", str(bundle / "kernel.json"),
+                                 "--measure", str(bundle / "m.json")])
+        assert code == 0
+        assert calls == {"_strong_components": 1}
+        methods = [r["method"] for r in json.loads(out)["invariants"]]
+        assert methods == ["cesaro-adjoint", "eigen"]
 
     def test_cesaro_without_measure_is_usage_error(self, tmp_path, capsys):
         kp = write_kernel(tmp_path / "k.json", TWO_STATE)

@@ -1,5 +1,7 @@
 """Generators, transition kernels, resolvents, and averaged measures."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -31,7 +33,8 @@ from ergocert.semigroup import (
 from ergocert.scenarios import (absorbing_pair, birth_death, block_chain,
                                 lazy_cycle, ou_grid)
 from ergocert.solver import solve_continuous
-from oracles import product_spy
+from oracles import expm_flow, product_spy
+from test_solver import stiff_generators
 
 S2 = StateSpace.range(2)
 SYM = Generator(S2, [[-1.0, 1.0], [1.0, -1.0]])
@@ -509,17 +512,30 @@ class TestAveragedMeasures:
             kb_measure(K, Measure(S2, [1.0, 0.0]), 1.5)
 
     def test_continuous_kb_closed_form(self):
-        # (1/t) integral of delta_0 P_s: deviation (1 - e^{-2t}) / (4t)
+        # (1/t) integral of delta_0 P_s: deviation (1 - e^{-2t}) / (4t).
+        # At tiny t, P(N > 0) / (lam t) must keep its digits where
+        # 1 - e^{-lam t} rounds to nothing
         mu = Measure(S2, [1.0, 0.0])
-        for t in (0.5, 1.0, 3.0):
-            avg = kb_measure(SYM, mu, t)
-            dev = (1.0 - np.exp(-2.0 * t)) / (4.0 * t)
-            assert_allclose(avg.weights, [0.5 + dev, 0.5 - dev], atol=1e-9)
+        for t in (1e-16, 1e-12, 1e-6, 1e-3, 0.5, 1.0, 3.0):
+            dev = -np.expm1(-2.0 * t) / (4.0 * t)
+            got = kb_measure(SYM, mu, t).weights
+            assert np.abs(got - [0.5 + dev, 0.5 - dev]).sum() <= 1e-13, t
 
     def test_occupation_density_invariant_start(self):
         m = Measure(S2, [0.5, 0.5])
         f = occupation_density(SYM, m, 3.0)
         assert_allclose(f.values, [3.0, 3.0], atol=1e-9)
+
+    def test_zero_rate_generator_keeps_the_start(self):
+        # lam = 0: every average is the start, with no division by lam t
+        G = Generator(S2, np.zeros((2, 2)))
+        m = Measure(S2, [0.25, 0.75])
+        ts = geometric_horizons(8)
+        assert_array_equal(kb_measure(G, m, 3.0).weights, m.weights)
+        assert_array_equal(occupation_density(G, m, 3.0).values, [3.0, 3.0])
+        for t, row in (continuous_power_rows(G, m, ts)
+                       + continuous_mean_rows(G, m, ts)):
+            assert_array_equal(row, m.weights)
 
     def test_occupation_density_rejects_kernels(self):
         K = Kernel(S2, [[0.9, 0.1], [0.2, 0.8]])
@@ -551,12 +567,43 @@ class TestGeneratorLadder:
 
         monkeypatch.setattr(np, "matmul", counting)
         spanned = rows()
-        # the power rows square P_1 up to P_256, the means read P_128 last;
-        # P_1 has bandwidth 33, so the first four rungs of each are panelled
-        assert len(products) == 8 + 7
-        assert panelled == {1, 2, 3, 4, 9, 10, 11, 12}
+        # each family sums the series of P_1 up to the power 16 of
+        # I + Q/lam, 15 products; the power rows then square P_1 up to
+        # P_256 and the means read P_128 last. The series powers, and so
+        # P_1, have bandwidth at most 33, so the series and the first four
+        # rungs of each family are panelled
+        assert len(products) == (15 + 8) + (15 + 7)
+        assert panelled == set(range(1, 20)) | set(range(24, 43))
         monkeypatch.undo()
         product_spy(monkeypatch, dense=True)
         for (t, got), (s, want) in zip(spanned, rows()):
             assert t == s
             assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+class TestExpmOracle:
+    """Every generator row agrees with a matrix-exponential reference."""
+
+    @pytest.mark.parametrize("make, args", [(birth_death, (600, 0.7)),
+                                            (ou_grid, (300,))],
+                             ids=["birth_death", "ou_grid"])
+    def test_evidence_rows_match_expm(self, make, args):
+        K = make(*args).kernel
+        G = Generator(K.space, K.rows - np.eye(K.size))
+        m = Measure(K.space, np.full(K.size, 1 / K.size))
+        ts = geometric_horizons(256)
+        for (t, power_row), (_, mean_row) in zip(
+                continuous_power_rows(G, m, ts),
+                continuous_mean_rows(G, m, ts)):
+            want_power, want_mean = expm_flow(G, m, t)
+            assert np.abs(power_row - want_power).sum() <= 1e-12, t
+            assert np.abs(mean_row - want_mean).sum() <= 1e-12, t
+
+    def test_stiff_time_averages_match_expm(self):
+        # rates from 1e-9 to 1e3 side by side, mild enough for scipy's expm
+        for G in islice(stiff_generators(), 40):
+            m = Measure(G.space, np.full(G.size, 1 / G.size))
+            for t in (1.0, 4.0):
+                _, want = expm_flow(G, m, t)
+                got = kb_measure(G, m, t).weights
+                assert np.abs(got - want).sum() <= 1e-10, (G, t)
