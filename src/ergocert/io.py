@@ -222,7 +222,7 @@ def validate_document(doc: dict) -> str:
 
 def kernel_to_doc(K: Kernel) -> dict:
     return {"type": "kernel", "labels": list(K.space.labels),
-            "rows": jsonable(K.rows), "kind": K.kind}
+            "rows": K.rows.tolist(), "kind": K.kind}
 
 
 def kernel_from_doc(doc: dict) -> Kernel:
@@ -234,7 +234,7 @@ def kernel_from_doc(doc: dict) -> Kernel:
 
 def generator_to_doc(G: Generator) -> dict:
     return {"type": "generator", "labels": list(G.space.labels),
-            "rates": jsonable(G.rates), "lam": float(G.lam)}
+            "rates": G.rates.tolist(), "lam": float(G.lam)}
 
 
 def generator_from_doc(doc: dict) -> Generator:
@@ -269,7 +269,7 @@ def _check_labels(doc, space: StateSpace | None, what: str) -> StateSpace:
 
 def measure_to_doc(m: Measure) -> dict:
     return {"type": "measure", "labels": list(m.space.labels),
-            "weights": jsonable(m.weights)}
+            "weights": m.weights.tolist()}
 
 
 def measure_from_doc(doc: dict, space: StateSpace | None = None) -> Measure:

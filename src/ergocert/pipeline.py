@@ -13,10 +13,10 @@ Nothing of it outlives the run. Failures are collected, not fatal.
 
 four_way_verdicts packages the equivalence at the heart of the package:
 on a finite model, almost invariance with leakage below one, its mean
-variant, the index staying under the total mass, and the solver finding
-a nonzero invariant measure are four views of the same fact and must
-agree. A pipeline run scores its four-way block by the same path, from
-the evidence and results its stages share.
+variant, the index staying under the total mass, and the solver keeping
+a closed class inside the support of the reference are four views of
+the same fact and must agree. A pipeline run scores its four-way block
+by the same path, from the evidence and results its stages share.
 """
 
 import functools
@@ -127,9 +127,10 @@ def four_way_verdicts(P: Kernel, m: Measure, horizon: int = 96) -> dict:
     almost: linear almost invariance at the optimal constants has
     leakage below one. mean: same for running averages. index: the
     small-cap occupation index stays below the total mass. solver: the
-    Cesaro-average construction returns a nonzero measure. On a finite
-    model these must agree; the dict carries the booleans, the numbers
-    behind them, and the agreement flag. A passing leakage whose
+    Cesaro-average construction keeps a closed class of P wholly inside
+    m.support, a fact of the graph that no mass threshold decides. On a
+    finite model these must agree; the dict carries the booleans, the
+    numbers behind them, and the agreement flag. A passing leakage whose
     certificate then fails to verify indicates an internal bug and
     raises. Each evidence row is computed once and read by every test.
 
@@ -167,7 +168,7 @@ def _four_way(ev: Evidence, prof, res) -> dict:
     out["index"] = bool(prof.verdict == "holds")
 
     out["invariant_mass"] = res.nu.mass
-    out["solver"] = bool(res.nu.mass > 1e-8 * m.mass)
+    out["solver"] = bool(res.diagnostics["kept_classes"])
 
     votes = (out["almost"], out["mean"], out["index"], out["solver"])
     out["agree"] = bool(all(votes) or not any(votes))
@@ -336,7 +337,7 @@ def _run_stages(config, base_dir) -> Report:
                  else list(solve_continuous(system)))
         report.invariants_found.extend([_invariant_record(res)
                                         for res in found])
-        if found[0].nu.mass <= 1e-12 * m_ref.mass:
+        if discrete and not found[0].diagnostics["kept_classes"]:
             report.profiles["invariant_note"] = (
                 "no invariant measure absolutely continuous with respect "
                 "to the reference")

@@ -226,27 +226,20 @@ def transition_at(S: Semigroup, t) -> Kernel:
                   on_rowsum="renormalize" if flow.rung else "reject")
 
 
-def _generator_solve(G: Generator, alpha: float, rhs: np.ndarray):
-    """A = alpha I - Q and X = A^{-1} rhs, for rhs = I or a ones column.
-    The row sums of X are those of R_alpha and must stay within 1e-9 of
-    1/alpha."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    A = alpha * np.eye(G.size) - G.rates
-    X = np.linalg.solve(A, rhs)
-    if np.abs(alpha * X.sum(axis=1) - 1.0).max() > 1e-9:
-        raise ArithmeticError("resolvent solve lost mass; generator is "
-                              "too ill-conditioned at this alpha")
-    return A, X
-
-
 def resolvent_raw(G: Generator, alpha: float) -> np.ndarray:
-    """R_alpha = (alpha I - Q)^{-1} as a plain matrix (mass 1/alpha rows),
-    for code that reads the operator; measures go via auxiliary_measure."""
+    """R_alpha = (alpha I - Q)^{-1} as a plain matrix, for code that reads
+    the operator; measures go via auxiliary_measure. One solve, and every
+    row sum of R_alpha must stay within 1e-9 of 1/alpha."""
     if not isinstance(G, Generator):
         raise ValueError("resolvents of discrete semigroups come from "
                          "discrete_resolvent")
-    return _generator_solve(G, alpha, np.eye(G.size))[1]
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    X = np.linalg.solve(alpha * np.eye(G.size) - G.rates, np.eye(G.size))
+    if np.abs(alpha * X.sum(axis=1) - 1.0).max() > 1e-9:
+        raise ArithmeticError("resolvent solve lost mass; generator is "
+                              "too ill-conditioned at this alpha")
+    return X
 
 
 def resolvent(S: Semigroup, alpha: float) -> Kernel:
@@ -273,21 +266,28 @@ def auxiliary_measure(S: Semigroup, mu: Measure, alpha: float = 1.0) -> Measure:
     Continuous: mu composed with the raw resolvent R_alpha (mass scaled
     by 1/alpha). Either way mu goes through one transposed solve,
     (I - K/2)^T x = mu/2 or (alpha I - Q)^T x = mu, and Measure rejects
-    a negative x. The result respects its own null sets one step further,
-    through K or Q, which is asserted before returning: a null atom stays
-    null under alpha R_alpha exactly when no rate leads into it from the
-    support.
+    a negative x; a continuous push must keep alpha x(X) within 1e-9
+    mu(X) of mu(X). The result respects its own null sets one step
+    further, through K or Q, which is asserted before returning: a null
+    atom stays null under alpha R_alpha exactly when no rate leads into
+    it from the support.
 
     Where some float atom is 0, the exact support reach(supp mu), what the
     graph K > 0 or Q > 0 leads to from supp mu, is kept for m.support.
     """
     _check_same_space(mu, S)
     if isinstance(S, Kernel):
-        A, rates, rhs = np.eye(S.size) - 0.5 * S.rows, S.rows, 0.5 * mu.weights
+        rates = S.rows
+        x = np.linalg.solve((np.eye(S.size) - 0.5 * rates).T, 0.5 * mu.weights)
     else:
-        A, _ = _generator_solve(S, alpha, np.ones((S.size, 1)))
-        rates, rhs = S.rates, mu.weights
-    m = Measure(S.space, np.linalg.solve(A.T, rhs))
+        if alpha <= 0:
+            raise ValueError("alpha must be positive")
+        rates = S.rates
+        x = np.linalg.solve((alpha * np.eye(S.size) - rates).T, mu.weights)
+        if abs(alpha * x.sum() - mu.mass) > 1e-9 * mu.mass:
+            raise ArithmeticError("resolvent solve lost mass; generator is "
+                                  "too ill-conditioned at this alpha")
+    m = Measure(S.space, x)
     null = m.weights <= 0.0
     leak = float((m.weights @ rates)[null].sum())
     if leak > 1e-15 * max(1.0, m.mass):

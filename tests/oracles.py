@@ -9,7 +9,8 @@ Cesaro limit that solve_cesaro_adjoint reads off the decomposition, by
 plain dense doubling. product_spy counts the products of the doubling
 ladder and of the uniformization series, and with dense=True makes each
 one a plain L @ R. expm_flow is the matrix-exponential reference for a
-generator's transition and time average.
+generator's transition and time average. reachable is the plain
+depth-first search of a graph that support decisions are held to.
 """
 
 import numpy as np
@@ -154,3 +155,22 @@ def expm_flow(G, m, t):
     block[:n, n] = m.weights
     e = expm(block)
     return e[:n, :n] @ m.weights, e[:n, n]
+
+
+def reachable(edges, start):
+    """The states reached from start along entries edges[x][y] > 0.
+
+    A plain depth-first search over Python lists, start included. The
+    diagonal of a generator is never positive, so its rates serve as
+    edges as they are.
+    """
+    edges = np.asarray(edges).tolist()
+    seen = {int(x) for x in start}
+    stack = list(seen)
+    while stack:
+        x = stack.pop()
+        for y, weight in enumerate(edges[x]):
+            if weight > 0 and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen

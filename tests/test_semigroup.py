@@ -308,9 +308,9 @@ class TestAuxiliaryPush:
             self.assert_same_push(auxiliary_measure(G, mu, a).weights,
                                   mu.weights @ resolvent_raw(G, a))
 
-    def test_generator_push_takes_two_solves(self, monkeypatch):
-        # one for the row-sum check, one for the push; the null atoms are
-        # checked through one jump of Q, with no third solve
+    def test_generator_push_takes_one_solve(self, monkeypatch):
+        # the push checks its own mass, and the null atoms are checked
+        # through one jump of Q, with no second solve
         calls = []
         real_solve = np.linalg.solve
 
@@ -319,8 +319,15 @@ class TestAuxiliaryPush:
             return real_solve(a, b)
         monkeypatch.setattr(np.linalg, "solve", solve)
         m = auxiliary_measure(SYM, Measure(S2, [1.0, 0.0]), alpha=2.0)
-        assert m.mass > 0.0
-        assert len(calls) == 2
+        assert_allclose(m.mass, 0.5, rtol=1e-15)
+        assert calls == [(2,)]
+
+    def test_generator_push_that_loses_mass_raises(self, monkeypatch):
+        real_solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: (1.0 + 2e-9) * real_solve(a, b))
+        with pytest.raises(ArithmeticError, match="lost mass"):
+            auxiliary_measure(SYM, Measure(S2, [1.0, 0.0]), alpha=2.0)
 
     def test_no_operator_formed_to_push_one_measure(self, monkeypatch):
         # every resolvent-smoothed measure below is one vector solve: no
