@@ -7,12 +7,14 @@ plus the exact limiting averages from the class decomposition, labelled
 "limit" in reports.
 
 Those rows are kept per (system, reference, horizon) in an Evidence
-object, which computes each family once. The leakage, invariance and
-index checks each read a selection of it: the powers, the means from
-step n0 on, or the means on the doubling grid, always with the limit.
-Called with a system, a check makes its own evidence; a caller scoring
-several checks on the same triple makes one and passes it in place of
-the system.
+object, which computes each family once and scores it once per modulus:
+the worst row under a modulus, the sup of the mass outside m.support
+and the support check are kept beside the rows. The leakage, invariance
+and index checks each read a selection of it: the powers, the means
+from step n0 on, or the means on the doubling grid, always with the
+limit. Called with a system, a check makes its own evidence; a caller
+scoring several checks on the same triple makes one and passes it in
+place of the system.
 
 Absolute continuity is no float question: check_absolute_continuity
 reads the edges of the graph from m.support into the null atoms of m.
@@ -25,7 +27,7 @@ enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -36,7 +38,7 @@ from ..semigroup import (Generator, _running_means, auxiliary_measure,
 from ..solver import averaging_projector
 from .averages import (LIMIT, continuous_mean_rows, continuous_power_rows,
                        geometric_horizons, limit_row, mean_rows, power_rows)
-from .phi import AlmostInvarianceParams, PhiLinear, PhiPower
+from .phi import AlmostInvarianceParams, PhiLinear, PhiPower, PhiTable
 from .types import FAILS, HOLDS, INCONCLUSIVE, Certificate, IndexProfile
 from .worstset import fractional_knapsack, knapsack_best, worst_set_search
 
@@ -83,11 +85,17 @@ class Evidence:
     checks on the same triple passes one Evidence to each in place of
     the system. A kernel's means are running sums of its powers, so one
     chain of vector-matrix products feeds both families.
+
+    The scores of the rows are kept the same way: each family is scanned
+    once per modulus for its worst row, and once for its sup of mass
+    outside m.support, and the support check runs once. A pipeline run's
+    certificates and its four-way block thus read one scan per family.
     """
 
     system: object
     m: Measure
     horizon: int
+    _scores: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def powers(self) -> tuple:
@@ -125,6 +133,36 @@ class Evidence:
         rows.append((LIMIT, self.limit))
         return rows
 
+    def _scored(self, key, score):
+        """score(), computed on the first call with key and kept."""
+        if key not in self._scores:
+            self._scores[key] = score()
+        return self._scores[key]
+
+    def _worst(self, mode: str, n0: int, phi):
+        """(excess, tag, members) of the worst row of rows(mode, n0) under
+        phi, and the smallest row mass. Kept per modulus value; the power
+        rows ignore n0. A modulus outside the three families is scored
+        unkept, so worst_set_search refuses it."""
+        def score():
+            rows = self.rows(mode, n0=n0)
+            return (*_worst_row(rows, self.m, phi),
+                    min(float(row.sum()) for _, row in rows))
+        if not isinstance(phi, (PhiLinear, PhiPower, PhiTable)):
+            return score()
+        key = ("worst", mode, n0 if mode == "mean" else None, phi)
+        return self._scored(key, score)
+
+    def _null_sup(self, mode: str):
+        """(tag, mass) of the row of the family that puts the most mass
+        outside m.support."""
+        return self._scored(("null", mode), lambda: _mass_sup(
+            self.rows(mode), _null_atoms(self.m)))
+
+    def _support_stable(self) -> bool:
+        return self._scored("support", lambda: check_absolute_continuity(
+            self.system, self.m).holds)
+
 
 def _evidence(S, m: Measure, horizon: int) -> Evidence:
     """S when it is the evidence of (m, horizon) already, else new."""
@@ -136,15 +174,26 @@ def _evidence(S, m: Measure, horizon: int) -> Evidence:
     return S
 
 
+def _null_atoms(m: Measure) -> np.ndarray:
+    """Mask of the atoms outside m.support."""
+    null = np.ones(m.space.size, dtype=bool)
+    null[m.support] = False
+    return null
+
+
 def _excess_and_set(row: np.ndarray, m: Measure, phi):
     """Worst-set value of row(A) - phi(m(A)) and the achieving atoms.
 
-    A linear modulus takes every atom where the row exceeds c * m; the
-    other families take the prefix scan of worst_set_search, which also
+    A linear modulus takes every atom where the row exceeds c * m; an
+    infinite c charges every atom of m.support, even one whose float
+    weight underflowed, so it takes the atoms outside it. The other
+    families take the prefix scan of worst_set_search, which also
     refuses a modulus outside the three families.
     """
     if isinstance(phi, PhiLinear):
-        diff = row - phi.coef * m.weights
+        charge = (np.where(_null_atoms(m), 0.0, np.inf)
+                  if np.isinf(phi.coef) else phi.coef * m.weights)
+        diff = row - charge
         members = tuple(int(i) for i in np.flatnonzero(diff > 0.0))
         return float(diff[diff > 0.0].sum()), members
     found = worst_set_search(row, m.weights, phi)
@@ -179,8 +228,7 @@ def check_absolute_continuity(S, m: Measure) -> Certificate:
     the first one entered when every flow underflowed.
     """
     rates = S.rows if isinstance(S, Kernel) else S.rates
-    null = np.ones(S.size, dtype=bool)
-    null[m.support] = False
+    null = _null_atoms(m)
     entered = np.zeros(S.size, dtype=bool)
     entered[null] = (rates[np.ix_(m.support, null)] > 0.0).any(axis=0)
     flow = np.where(null, m.weights @ rates, 0.0)
@@ -201,18 +249,19 @@ def optimal_linear_params(S, m: Measure, horizon: int = 256,
                           mode: str = "power") -> dict:
     """Cheapest linear modulus that works, and its exact leakage.
 
-    With coefficient c = m(E) / (smallest positive atom), c * m dominates
-    every markovian flow row on the support, so the worst excess reduces
-    to the flow into the null atoms; delta is that flow's sup over the
-    horizon (and the limit) divided by total mass. mode "mean" scores
-    the running averages instead of the powers. S may be the Evidence
-    of (m, horizon) in place of the system.
+    With coefficient c = m(E) / (smallest atom of m.support), c * m
+    dominates every markovian flow row on the support, so the worst
+    excess reduces to the flow into the null atoms, those outside
+    m.support; delta is that flow's sup over the horizon (and the limit)
+    divided by total mass. c is infinite when an atom of the support
+    underflowed to 0 or the quotient overflows. mode "mean" scores the
+    running averages instead of the powers. S may be the Evidence of
+    (m, horizon) in place of the system.
     """
     _require_positive_mass(m)
-    w = m.weights
-    pos = w[w > 0.0]
-    c_star = m.mass / float(pos.min())
-    arg, sup = _mass_sup(_evidence(S, m, horizon).rows(mode), w <= 0.0)
+    least = float(m.weights[m.support].min())
+    c_star = m.mass / least if least > 0.0 else np.inf
+    arg, sup = _evidence(S, m, horizon)._null_sup(mode)
     return {"c": c_star, "delta": sup / m.mass, "null_flow_sup": sup,
             "worst_horizon": arg}
 
@@ -221,9 +270,7 @@ def _invariance_verdict(S, m, params, mode, condition):
     _require_positive_mass(m)
     ev = _evidence(S, m, params.horizon)
     S = ev.system
-    rows = ev.rows(mode, n0=params.n0)
-    worst, tag, members = _worst_row(rows, m, params.phi)
-    mass_floor = min(float(row.sum()) for _, row in rows)
+    worst, tag, members, mass_floor = ev._worst(mode, params.n0, params.phi)
     delta_min = worst / m.mass
     tol = 1e-12 * max(1.0, params.delta)
     ok = delta_min <= params.delta + tol
@@ -234,7 +281,7 @@ def _invariance_verdict(S, m, params, mode, condition):
         "horizon": params.horizon,
         "worst_horizon": tag,
         "phi": params.phi.describe(),
-        "support_stable": check_absolute_continuity(S, m).holds,
+        "support_stable": ev._support_stable(),
         "limit_included": True,
     }
     if mode == "mean":

@@ -7,8 +7,10 @@ continuity, almost invariance at the cheapest constants, the small-set
 occupation index, and finally the constructive solver. The stages share
 what they compute: one run computes the ergodic decomposition of the
 system (scenario generation included), each family of evidence rows of
-(system, reference, horizon), the index profile, the Cesaro-adjoint
-solve and the eigen solve at most once, on first use by any stage.
+(system, reference, horizon), the score of each family under each
+modulus, the index profile, the Cesaro-adjoint solve and the eigen solve
+at most once, on first use by any stage. So the almost-invariance
+certificates and the four-way block read one worst-row scan per family.
 Nothing of it outlives the run. Failures are collected, not fatal.
 
 four_way_verdicts packages the equivalence at the heart of the package:

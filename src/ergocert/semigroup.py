@@ -51,7 +51,8 @@ __all__ = [
     "kb_measure",
 ]
 
-_SERIES_TAIL = 1e-14
+# the Poisson tail at which the series stops, below the rounding of mass one
+_SERIES_TAIL = 2.0 ** -56
 _MAX_DIRECT_LAMT = 200.0
 
 
@@ -169,10 +170,12 @@ def _series(G: Generator, t: float, start=None):
     and (1/t) integral_0^t start P_s ds = sum_k P(N > k)/(lam t) start P^k
     (uniformization). The tails P(N > k) are summed from the far end, so
     none of them cancels and P(N > 0) keeps its relative accuracy at tiny
-    lam t. The series stops at the first k with P(N > k) <= 1e-14, which
-    bounds the lost mass of P_t and, since E(N - k - 1)^+ <= lam t P(N > k),
-    of the average. The powers P^k are spanned products. Valid for
-    lam t <= _MAX_DIRECT_LAMT, where exp(-lam t) is a normal float. With
+    lam t. The series stops at the first k with P(N > k) <= 2**-56, under
+    the rounding of mass one, which bounds the lost mass of P_t and, since
+    E(N - k - 1)^+ <= lam t P(N > k), of the average; each squaring of the
+    ladder doubles the loss of P_t, so it must start at rounding level.
+    The powers P^k are spanned products. Valid for lam t <=
+    _MAX_DIRECT_LAMT, where exp(-lam t) is a normal float. With
     lam t = 0 (a zero-rate generator, or t = 0) the flow is the identity
     and the average is start itself; without start it is None.
     """

@@ -310,6 +310,79 @@ class TestAlmostInvariance:
         assert cert.holds
 
 
+class TestEvidenceScores:
+    """An Evidence scores each row family once per modulus."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name in ("_worst_row", "_mass_sup", "check_absolute_continuity"):
+            real = getattr(almost, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(almost, name, counted)
+        return calls
+
+    def test_equal_moduli_share_one_scan(self, calls):
+        ev = almost.Evidence(TWO_STATE, M_UNIFORM, 32)
+        first = check_almost_invariant(
+            ev, M_UNIFORM, AlmostInvarianceParams(PhiLinear(1.0), 0.2,
+                                                  horizon=32))
+        # a modulus built apart but equal in value, a different delta
+        again = check_almost_invariant(
+            ev, M_UNIFORM, AlmostInvarianceParams(PhiLinear(1.0), 0.0,
+                                                  horizon=32))
+        assert calls == ["_worst_row", "check_absolute_continuity"]
+        assert first.constants["delta_min"] == again.constants["delta_min"]
+        assert first.holds and not again.holds
+        check_almost_invariant(
+            ev, M_UNIFORM, AlmostInvarianceParams(PhiLinear(2.0), 0.0,
+                                                  horizon=32))
+        check_almost_invariant(
+            ev, M_UNIFORM, AlmostInvarianceParams(PhiPower(1.0), 0.0,
+                                                  horizon=32))
+        assert calls.count("_worst_row") == 3
+        assert calls.count("check_absolute_continuity") == 1
+
+    def test_power_scans_are_shared_across_n0(self, calls):
+        ev = almost.Evidence(TWO_STATE, M_UNIFORM, 32)
+        for check in (check_almost_invariant, check_mean_almost_invariant):
+            for n0 in (1, 4, 1):
+                check(ev, M_UNIFORM, AlmostInvarianceParams(
+                    PhiLinear(1.0), 0.2, horizon=32, n0=n0))
+        # one power scan; one mean scan per n0
+        assert calls.count("_worst_row") == 3
+
+    def test_null_sup_once_per_mode(self, calls):
+        ev = almost.Evidence(ABSORBING_PAIR, DELTA0, 16)
+        for mode in ("power", "mean", "power", "mean"):
+            optimal_linear_params(ev, DELTA0, horizon=16, mode=mode)
+        assert calls == ["_mass_sup", "_mass_sup"]
+
+    def test_references_share_no_score(self, calls):
+        params = AlmostInvarianceParams(PhiLinear(1.0), 0.2, horizon=32)
+        apart = [check_almost_invariant(TWO_STATE, m, params).constants
+                 for m in (M_UNIFORM, M_INV)]
+        calls.clear()
+        evs = [almost.Evidence(TWO_STATE, m, 32) for m in (M_UNIFORM, M_INV)]
+        shared = [check_almost_invariant(ev, ev.m, params).constants
+                  for ev in evs]
+        assert calls == ["_worst_row", "check_absolute_continuity"] * 2
+        assert shared == apart
+        assert shared[0]["delta_min"] > 0.0 == shared[1]["delta_min"]
+
+    @pytest.mark.parametrize("phi", [{"coef": 1.0}, lambda t: t],
+                             ids=["unhashable", "callable"])
+    def test_unsupported_modulus_is_refused_each_time(self, phi):
+        ev = almost.Evidence(TWO_STATE, M_UNIFORM, 8)
+        params = AlmostInvarianceParams(phi, 0.2, horizon=8)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="worst-set search needs"):
+                check_almost_invariant(ev, M_UNIFORM, params)
+
+
 class TestIndexProfile:
     def test_counterexample_index_is_total_mass(self):
         prof = index_profile(ABSORBING_PAIR, DELTA0)

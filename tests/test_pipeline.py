@@ -172,6 +172,27 @@ class TestRunPipeline:
         assert rep.profiles["four_way"]["agree"]
         assert rep.profiles["decay"]["geometric"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_reference_with_underflowed_atoms_of_its_support(self):
+        # 49 atoms of the reachable support underflow to float 0, so the
+        # optimal c is infinite; it charges the whole support, and the
+        # flow outside it is zero
+        config = {"type": "pipeline-config",
+                  "scenario": {"id": "birth_death",
+                               "params": {"n": 300, "p_down": 0.9}},
+                  "mu": [1.0] + [0.0] * 299,
+                  "steps": ["auxiliary-measure", "absolute-continuity",
+                            "almost-invariance"]}
+        rep = run_pipeline(config)
+        assert rep.errors == []
+        assert rep.all_hold
+        assert [c.condition for c in rep.certificates] == [
+            "absolute-continuity", "almost-invariance",
+            "mean-almost-invariance"]
+        assert rep.profiles["optimal_constants"] == {"c": np.inf,
+                                                     "delta": 0.0}
+        assert rep.profiles["four_way"]["agree"]
+
     def test_ou_grid_full_program(self):
         config = {"type": "pipeline-config",
                   "scenario": {"id": "ou_grid", "params": {"n": 21}},
@@ -348,6 +369,40 @@ class TestSharedEvidence:
         calls.clear()
         solver.decompose(K)
         assert calls == {"_strong_components": 1}
+
+    def test_pipeline_scores_each_family_once(self, monkeypatch):
+        # the certificates and the four-way block read one worst-row scan
+        # of each family under the one linear modulus, one null-mass sup
+        # per family and one support check; each scan scores the 256
+        # rows of its family and the limit
+        calls = {}
+        for name in ("_worst_row", "_mass_sup", "_excess_and_set",
+                     "check_absolute_continuity"):
+            _count_calls(monkeypatch, calls, almost, name)
+        config = {"type": "pipeline-config",
+                  "scenario": {"id": "birth_death",
+                               "params": {"n": 30, "p_down": 0.7}}}
+        rep = run_pipeline(config)
+        assert rep.errors == []
+        assert rep.profiles["four_way"]["agree"]
+        # the absolute-continuity stage looks its check up in pipeline,
+        # so only the verdicts' support checks count here
+        assert calls == {"_worst_row": 2, "_mass_sup": 2,
+                         "_excess_and_set": 514,
+                         "check_absolute_continuity": 1}
+
+    def test_four_way_verdicts_scans_each_family_once(self, monkeypatch):
+        calls = {}
+        for name in ("_worst_row", "_mass_sup", "_excess_and_set",
+                     "check_absolute_continuity"):
+            _count_calls(monkeypatch, calls, almost, name)
+        K = birth_death(30).kernel
+        out = four_way_verdicts(K, Measure(K.space, np.full(30, 1 / 30)), 64)
+        assert out["almost"] and out["mean"] and out["agree"]
+        # no scan repeats here; the two verdicts share one support check
+        assert calls == {"_worst_row": 2, "_mass_sup": 2,
+                         "_excess_and_set": 130,
+                         "check_absolute_continuity": 1}
 
     def test_four_way_verdicts_never_shares(self, monkeypatch):
         calls = {}

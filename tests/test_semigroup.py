@@ -574,13 +574,13 @@ class TestGeneratorLadder:
 
         monkeypatch.setattr(np, "matmul", counting)
         spanned = rows()
-        # each family sums the series of P_1 up to the power 16 of
-        # I + Q/lam, 15 products; the power rows then square P_1 up to
+        # each family sums the series of P_1 up to the power 18 of
+        # I + Q/lam, 17 products; the power rows then square P_1 up to
         # P_256 and the means read P_128 last. The series powers, and so
-        # P_1, have bandwidth at most 33, so the series and the first four
+        # P_1, have bandwidth at most 37, so the series and the first four
         # rungs of each family are panelled
-        assert len(products) == (15 + 8) + (15 + 7)
-        assert panelled == set(range(1, 20)) | set(range(24, 43))
+        assert len(products) == (17 + 8) + (17 + 7)
+        assert panelled == set(range(1, 22)) | set(range(26, 47))
         monkeypatch.undo()
         product_spy(monkeypatch, dense=True)
         for (t, got), (s, want) in zip(spanned, rows()):
@@ -598,7 +598,9 @@ class TestExpmOracle:
         K = make(*args).kernel
         G = Generator(K.space, K.rows - np.eye(K.size))
         m = Measure(K.space, np.full(K.size, 1 / K.size))
-        ts = geometric_horizons(256)
+        # each squaring doubles what the series lost, so its tail must
+        # sit at rounding level for t = 1024 to stay within 1e-12
+        ts = geometric_horizons(1024)
         for (t, power_row), (_, mean_row) in zip(
                 continuous_power_rows(G, m, ts),
                 continuous_mean_rows(G, m, ts)):
