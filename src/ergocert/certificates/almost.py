@@ -466,7 +466,7 @@ def _resolvent_verdict(S: Generator, m: Measure,
     """check_resolvent_almost_invariant's verdict over its (tag, row)
     pairs: m alpha R_alpha along _ALPHAS, then the clipped limit row."""
     worst, worst_tag, worst_members = _worst_row(rows, m, params.phi)
-    _, res_index = _mass_sup(rows, m.weights <= 0.0)
+    _, res_index = _mass_sup(rows, _null_atoms(m))
     delta_min = worst / m.mass
     tol = 1e-12 * max(1.0, params.delta)
     ok = delta_min <= params.delta + tol
@@ -513,7 +513,7 @@ def check_seed_index(S: Generator, mu: Measure, alpha: float) -> Certificate:
 
     m_ref = auxiliary_measure(S, mu, alpha)
     rows = Evidence(S, mu, 256).rows("mean")
-    worst_tag, c_tilde = _mass_sup(rows, m_ref.weights <= 0.0)
+    worst_tag, c_tilde = _mass_sup(rows, _null_atoms(m_ref))
 
     # small-cap profile of the same averages against m_ref, for reporting
     eps_grid = _default_eps_grid(m_ref)

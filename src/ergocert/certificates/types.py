@@ -54,13 +54,6 @@ class Certificate:
     def holds(self) -> bool:
         return self.verdict == HOLDS
 
-    def summary(self) -> str:
-        extras = ", ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
-                           for k, v in sorted(self.constants.items())
-                           if isinstance(v, (int, float)))
-        line = f"[{self.verdict.upper():12s}] {self.condition}"
-        return f"{line} ({extras})" if extras else line
-
 
 @dataclass(frozen=True)
 class IndexProfile:

@@ -219,10 +219,6 @@ class StateSet:
     def from_mask(cls, space: StateSpace, mask) -> "StateSet":
         return cls(space, np.flatnonzero(np.asarray(mask, dtype=bool)))
 
-    @classmethod
-    def from_labels(cls, space: StateSpace, labels) -> "StateSet":
-        return cls(space, (space.index(l) for l in labels))
-
     @property
     def mask(self) -> np.ndarray:
         m = np.zeros(self.space.size, dtype=bool)

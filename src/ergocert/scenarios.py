@@ -99,7 +99,7 @@ def absorbing_pair(seed: int = 0) -> ScenarioBundle:
         extras={"m_dirac": m_dirac, "m_uniform": m_uniform})
 
 
-def birth_death(n=100, p_down=0.7, reflect=True, seed: int = 0) -> ScenarioBundle:
+def birth_death(n=100, p_down=0.7, seed: int = 0) -> ScenarioBundle:
     """Nearest-neighbour walk on {0..n-1} drifting toward 0.
 
     Reflection keeps blocked moves in place. For p_down = d > 1/2 the
@@ -111,8 +111,6 @@ def birth_death(n=100, p_down=0.7, reflect=True, seed: int = 0) -> ScenarioBundl
     if n < 2:
         raise ValueError("need at least two states")
     d = _probability("p_down", p_down)
-    if not reflect:
-        raise ValueError("only the reflecting boundary variant is bundled")
     up = 1.0 - d
     rows = np.zeros((n, n))
     for i in range(n):
@@ -141,15 +139,14 @@ def birth_death(n=100, p_down=0.7, reflect=True, seed: int = 0) -> ScenarioBundl
     m = Measure(sp, w / w.sum())
     extras["stationary_ratio"] = ratio
     return ScenarioBundle(
-        scenario=Scenario("birth_death",
-                          {"n": n, "p_down": d, "reflect": True}, seed),
+        scenario=Scenario("birth_death", {"n": n, "p_down": d}, seed),
         kernel=K, V=V, m=m, C=C, extras=extras)
 
 
 def outward_walk(n=50, p_out=0.7, seed: int = 0) -> ScenarioBundle:
     """Walk drifting away from 0; mass piles at the far boundary."""
     p = _probability("p_out", p_out)
-    bundle = birth_death(n, p_down=1.0 - p, reflect=True)
+    bundle = birth_death(n, p_down=1.0 - p)
     return ScenarioBundle(
         scenario=Scenario("outward_walk", {"n": n, "p_out": p}, seed),
         kernel=bundle.kernel, m=bundle.m,

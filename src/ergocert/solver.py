@@ -5,15 +5,20 @@ decompose alone finds closed classes, their laws and their absorption
 weights, for kernels and generators alike. Both come from one
 elimination, blocked Grassmann-Taksar-Heyman censoring over the envelope
 of the rate block (_censor): no step subtracts, so every atom of a law
-is accurate relative to its own size. The absorption weights take the
-classes as absorbing targets (_absorb). solve_eigen enumerates every
-invariant probability (one per closed class that keeps its mass),
-regardless of any reference measure. solve_cesaro_adjoint starts from a
-reference measure m and produces the largest invariant measure
-absolutely continuous w.r.t. m, which is legitimately the zero measure
-when no mass survives inside supp(m). It reads the limit of the Cesaro
-averages of m under K killed outside supp(m) off the same decomposition:
-the closed classes inside supp(m), weighted by m's absorption into each.
+is accurate relative to its own size. _absorb, the one absorption
+builder, censors a set of states with target sets and killed mass as
+absorbing targets. Every limit is one product, absorption weights times
+the stacked class laws: the projector Pi = H L, and m Pi = (m H) L.
+solve_eigen enumerates every invariant probability (one per closed
+class that keeps its mass), regardless of any reference measure.
+solve_cesaro_adjoint starts from a reference measure m and produces the
+largest invariant measure absolutely continuous w.r.t. m, which is
+legitimately the zero measure when no mass survives inside supp(m). It
+reads the limit of the Cesaro averages of m under K killed outside
+supp(m) off the same decomposition: the closed classes inside supp(m),
+weighted by m's absorption into each. The dense projector identities
+are a test oracle (tests/oracles.py, check_projector), not a run-time
+check.
 """
 
 from __future__ import annotations
@@ -66,7 +71,9 @@ class InvariantResult:
 class ErgodicDecomposition:
     """Closed classes, their invariant probabilities, and absorption weights
     of a (sub-)markovian kernel or a generator. Absorption rows sum to one,
-    or to less where a sub-markovian kernel lets mass die off."""
+    or to less where a sub-markovian kernel lets mass die off. The limit
+    of the averages is the absorption weights times the class laws
+    (projector)."""
 
     space: object
     classes: tuple          # tuple[StateSet]
@@ -79,11 +86,14 @@ class ErgodicDecomposition:
         return len(self.classes)
 
     def projector(self) -> np.ndarray:
-        """Limit of the running (or time) averages as a dense matrix."""
-        out = np.zeros((self.absorption.shape[0],) * 2)
-        for j, mj in enumerate(self.class_measures):
-            out += self.absorption[:, [j]] * mj.weights[None, :]
-        return out
+        """Limit of the running (or time) averages as a dense matrix:
+        the absorption weights times the class laws."""
+        return self.absorption @ self._laws()
+
+    def _laws(self) -> np.ndarray:
+        """The class laws stacked, one row per class."""
+        return np.reshape([mj.weights for mj in self.class_measures],
+                          (self.n_classes, self.absorption.shape[0]))
 
 
 def _profile(a: np.ndarray):
@@ -182,23 +192,29 @@ def _stationary(M: np.ndarray) -> np.ndarray:
     return x / x.sum()
 
 
-def _absorb(a: np.ndarray, exits: np.ndarray) -> np.ndarray:
-    """Absorption probabilities h of a transient set into its targets.
+def _absorb(A, states, targets, killed=None) -> np.ndarray:
+    """Absorption probabilities h of the given states into target sets.
 
-    a holds the rates between the transient states off its diagonal,
-    which is never read, and exits their rates to each absorbing target,
-    one column per target; both are overwritten. _censor eliminates the
-    states from the last one down, and h is back-substituted from the
-    first one up, each row its censored rates into h plus its exits,
-    over its exit rate. Every state must reach some target.
+    A holds the rates; only its rows of states are read, and never on
+    the diagonal. targets are disjoint index sets outside states, each
+    one absorbing, and killed, if given, is each state's rate of mass
+    that dies. _censor eliminates the states from the last one down, and
+    h is back-substituted from the first one up, each row its censored
+    rates into h plus its exits, over its exit rate. Every state must
+    reach a target or lose mass. Returns one column per target set.
     """
+    a = A[np.ix_(states, states)]
+    exits = [A[np.ix_(states, idx)].sum(axis=1) for idx in targets]
+    if killed is not None:
+        exits.append(killed)
+    exits = np.stack(exits, axis=1)
     first_col, first_row = _profile(a)
     s = _censor(a, first_col, first_row, exits)
     h = np.zeros_like(exits)
     for k in range(len(a)):
         c0 = first_col[k]
         h[k] = (a[k, c0:k] @ h[c0:k] + exits[k]) / s[k]
-    return h
+    return h[:, :len(targets)]
 
 
 def _strong_components(adjacency: np.ndarray):
@@ -308,7 +324,7 @@ def _rate_form(S):
                      f"generator, got kind {S.kind!r}")
 
 
-def decompose(S, verify: bool = True) -> ErgodicDecomposition:
+def decompose(S) -> ErgodicDecomposition:
     """Split a (sub-)markovian kernel or a generator into closed classes
     plus transient states, read in rate form M = P - I or M = Q.
 
@@ -319,31 +335,24 @@ def decompose(S, verify: bool = True) -> ErgodicDecomposition:
     rates). The law comes from _stationary, blocked GTH censoring with
     an entrywise relative error bound. A sub-markovian class whose rows
     miss one leaks and counts as transient. Absorption weights solve
-    -M_tt h = M_tc 1 by the same censoring, with each class, and the
-    mass a sub-markovian kernel loses, as an absorbing target: each
-    pivot is the sum of the state's outflows, never 1 - P(x, x), so a
-    slow leak keeps every row of weights at mass one to rounding. With
-    verify=True the identities Pi P = Pi, P Pi = Pi, Pi^2 = Pi are
-    asserted with P - I read as M / lam and, unless the kernel is
-    sub-markovian, every row of Pi must sum to one, which the zero
-    matrix, a solution of all three identities, does not. None of these
-    checks depends on how fast the chain mixes.
+    -M_tt h = M_tc 1 by the same censoring (_absorb), with each class,
+    and the mass a sub-markovian kernel loses, as an absorbing target:
+    each pivot is the sum of the state's outflows, never 1 - P(x, x), so
+    a slow leak keeps every row of weights at mass one to rounding. The
+    projector identities that these weights and laws satisfy are held to
+    in the tests (oracles.check_projector), not checked here.
 
     Inside one run_pipeline call the decomposition of a system object is
-    built once and shared by every stage that asks for it; verify=True
-    still checks it on every call. Outside a run each call builds anew.
+    built once and shared by every stage that asks for it. Outside a run
+    each call builds anew.
     """
-    form = _rate_form(S)
     memo = _RUN_DECOMPOSITIONS.get()
     entry = None if memo is None else memo.get(id(S))
     if entry is not None and entry[0] is S:
-        decomp = entry[1]
-    else:
-        decomp = _build_decomposition(S, *form)
-        if memo is not None:
-            memo[id(S)] = (S, decomp)
-    if verify:
-        _check_projector(decomp, *form)
+        return entry[1]
+    decomp = _build_decomposition(S, *_rate_form(S))
+    if memo is not None:
+        memo[id(S)] = (S, decomp)
     return decomp
 
 
@@ -386,13 +395,10 @@ def _build_decomposition(S, A, shift, lam, sub) -> ErgodicDecomposition:
         absorption[idx, j] = 1.0
     transient = np.flatnonzero(~in_class)
     if transient.size and classes:
-        # censor the transient states with the classes, and the mass a
-        # sub-markovian kernel loses, as absorbing targets
-        exits = [A[np.ix_(transient, idx)].sum(axis=1) for idx in classes]
-        if sub:
-            exits.append(np.maximum(1.0 - A[transient].sum(axis=1), 0.0))
-        h = _absorb(A[np.ix_(transient, transient)], np.stack(exits, axis=1))
-        absorption[transient, :] = h[:, :len(classes)]
+        # the mass a sub-markovian kernel loses dies
+        killed = (np.maximum(1.0 - A[transient].sum(axis=1), 0.0) if sub
+                  else None)
+        absorption[transient, :] = _absorb(A, transient, classes, killed)
     # a run shares one decomposition among its callers
     absorption.setflags(write=False)
 
@@ -405,34 +411,18 @@ def _build_decomposition(S, A, shift, lam, sub) -> ErgodicDecomposition:
     )
 
 
-def _check_projector(decomp, A, shift, lam, sub) -> None:
-    """decompose's verify=True checks on the projector of decomp."""
-    pi = decomp.projector()
-    for name, gap in (
-        ("Pi P = Pi", (pi @ A - shift * pi) / lam),
-        ("P Pi = Pi", (A @ pi - shift * pi) / lam),
-        ("Pi Pi = Pi", pi @ pi - pi),
-    ):
-        err = np.abs(gap).max()
-        if err > 1e-10:
-            raise ArithmeticError(f"projector identity {name} off by {err:.3e}")
-    err = np.abs(pi.sum(axis=1) - 1.0).max()
-    if not sub and err > 1e-10:
-        raise ArithmeticError(f"projector rows miss mass one by {err:.3e}")
-
-
 def averaging_projector(S) -> np.ndarray:
     """Limit of the running averages of a (sub-)markovian kernel, or of
     the time averages of a generator's flow: the decomposition projector.
     Mass of a sub-markovian kernel that never reaches a closed class
     keeping its mass dies off, so rows may sum to less than one.
     """
-    return decompose(S, verify=False).projector()
+    return decompose(S).projector()
 
 
 def solve_eigen(K: Kernel) -> tuple[InvariantResult, ...]:
     """One invariant probability per closed class, by direct solves."""
-    decomp = decompose(K, verify=False)
+    decomp = decompose(K)
     out = []
     for cls, nu in zip(decomp.classes, decomp.class_measures):
         residual = float(np.abs(nu.weights @ K.rows - nu.weights).sum())
@@ -465,25 +455,22 @@ def solve_cesaro_adjoint(K: Kernel, m: Measure) -> InvariantResult:
     classes and count the underflowed atoms of S.
     """
     _require_positive_mass(m)
-    decomp = decompose(K, verify=False)
+    decomp = decompose(K)
     w = m.weights
     in_s = np.zeros(K.size, dtype=bool)
     in_s[m.support] = True
     kept = [j for j, cls in enumerate(decomp.classes) if in_s[cls.mask].all()]
     h = decomp.absorption[:, kept]
     if kept and K.rows[np.ix_(in_s, ~in_s)].any():
-        # every edge out of S starts outside the kept classes
-        in_kept = np.any([decomp.classes[j].mask for j in kept], axis=0)
-        rest = np.flatnonzero(in_s & ~in_kept)
-        rows = K.rows[rest]
-        exits = [rows[:, decomp.classes[j].mask].sum(axis=1) for j in kept]
-        killed = rows[:, ~in_s].sum(axis=1)
+        # every edge out of S starts outside the kept classes; the mass
+        # it carries dies, as does what a sub-markovian row loses
+        targets = [decomp.classes[j].members for j in kept]
+        rest = np.setdiff1d(m.support, np.concatenate(targets))
+        killed = K.rows[np.ix_(rest, np.flatnonzero(~in_s))].sum(axis=1)
         if K.kind == "sub-markovian":
-            killed += np.maximum(1.0 - rows.sum(axis=1), 0.0)
-        h[rest] = _absorb(rows[:, rest],
-                          np.stack(exits + [killed], axis=1))[:, :len(kept)]
-    laws = [decomp.class_measures[j].weights for j in kept]
-    nu = (w @ h) @ np.reshape(laws, (len(kept), K.size))
+            killed += np.maximum(1.0 - K.rows[rest].sum(axis=1), 0.0)
+        h[rest] = _absorb(K.rows, rest, targets, killed)
+    nu = (w @ h) @ decomp._laws()[kept]
 
     stepped = nu @ K.rows
     killed_step = np.where(in_s, stepped, 0.0)
@@ -520,7 +507,7 @@ def solve_continuous(G: Generator) -> tuple[InvariantResult, ...]:
     alpha I - Q block-triangular, so nu R_alpha is the solve of
     (alpha I - Q_cc)^T against nu on the class block.
     """
-    decomp = decompose(G, verify=False)
+    decomp = decompose(G)
     out = []
     for cls, nu in zip(decomp.classes, decomp.class_measures):
         w = nu.weights
@@ -558,7 +545,7 @@ def verify_count_bound(K: Kernel, m: Measure, phi, delta: float) -> dict:
         raise ValueError("concentration inequality fails at some state; "
                          "the count bound does not apply")
     bound = invariant_count_bound(m, phi, delta)
-    decomp = decompose(K, verify=False)
+    decomp = decompose(K)
     threshold = phi.inverse(1.0 - delta)
     masses = [m.of(cls) for cls in decomp.classes]
     count = decomp.n_classes

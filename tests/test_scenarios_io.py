@@ -25,6 +25,7 @@ from ergocert.scenarios import (
     two_state,
 )
 from ergocert import io
+from oracles import check_projector
 
 
 class TestScenarioBundles:
@@ -88,7 +89,9 @@ class TestScenarioBundles:
 
     def test_block_chain_class_count(self):
         bundle = block_chain(3, 4, seed=5)
-        assert decompose(bundle.kernel).n_classes == 3
+        d = decompose(bundle.kernel)
+        check_projector(d, bundle.kernel)
+        assert d.n_classes == 3
         assert bundle.extras["classes"] == 3
 
     def test_lazy_cycle_uniform_invariant(self):

@@ -12,7 +12,6 @@ from ergocert.certificates.averages import limit_row
 from ergocert.certificates.phi import AlmostInvarianceParams, PhiLinear
 from ergocert.scenarios import birth_death, block_chain, lazy_cycle, ou_grid
 from ergocert.solver import (
-    ErgodicDecomposition,
     _strong_components,
     _tarjan,
     averaging_projector,
@@ -22,12 +21,23 @@ from ergocert.solver import (
     solve_eigen,
     verify_count_bound,
 )
-from oracles import cesaro_doubling, gth_stationary, product_spy
+from oracles import (cesaro_doubling, check_projector, gth_stationary,
+                     product_spy)
 
 S2 = StateSpace.range(2)
 S3 = StateSpace.range(3)
 TWO_STATE = Kernel(S2, [[0.9, 0.1], [0.2, 0.8]])
 ABSORBING_PAIR = Kernel(S2, [[0.0, 1.0], [0.0, 1.0]])
+# two absorbing states and a bridge state that leads into both
+BRIDGE = Kernel(S3, [[1.0, 0.0, 0.0],
+                     [0.0, 1.0, 0.0],
+                     [0.3, 0.5, 0.2]])
+# two uniform 2-state blocks coupled at 1e-6: irreducible and doubly
+# stochastic, but no run of a few thousand steps settles
+_HALF = np.full((2, 2), 0.5)
+SLOW_MIXING = Kernel(StateSpace.range(4),
+                     np.block([[(1 - 1e-6) * _HALF, 1e-6 * _HALF],
+                               [1e-6 * _HALF, (1 - 1e-6) * _HALF]]))
 
 
 def random_ergodic(rng, n):
@@ -39,6 +49,7 @@ def random_ergodic(rng, n):
 class TestDecompose:
     def test_two_state_single_class(self):
         d = decompose(TWO_STATE)
+        check_projector(d, TWO_STATE)
         assert d.n_classes == 1
         assert d.transient.mask.sum() == 0
         assert_allclose(d.class_measures[0].weights, [2 / 3, 1 / 3],
@@ -46,46 +57,34 @@ class TestDecompose:
 
     def test_absorbing_pair(self):
         d = decompose(ABSORBING_PAIR)
+        check_projector(d, ABSORBING_PAIR)
         assert d.n_classes == 1
         assert list(d.classes[0].members) == [1]
         assert list(d.transient.members) == [0]
         assert_allclose(d.absorption, [[1.0], [1.0]])
 
     def test_two_blocks_with_bridge(self):
-        P = Kernel(S3, [[1.0, 0.0, 0.0],
-                        [0.0, 1.0, 0.0],
-                        [0.3, 0.5, 0.2]])
-        d = decompose(P)
+        d = decompose(BRIDGE)
+        check_projector(d, BRIDGE)
         assert d.n_classes == 2
         # absorption weights from the bridge state solve
         # a = 0.3 + 0.2 a  =>  a = 0.375
         assert_allclose(d.absorption[2], [0.375, 0.625], rtol=1e-12)
 
     def test_projector_identities(self):
-        pi = decompose(TWO_STATE).projector()
+        d = decompose(TWO_STATE)
+        check_projector(d, TWO_STATE)
+        pi = d.projector()
         P = TWO_STATE.rows
         assert_allclose(pi @ P, pi, atol=1e-12)
         assert_allclose(P @ pi, pi, atol=1e-12)
         assert_allclose(pi @ pi, pi, atol=1e-12)
 
     def test_slow_mixing_chain_verifies(self):
-        # two uniform 2-state blocks coupled at 1e-6: irreducible and
-        # doubly stochastic, but no run of a few thousand steps settles
-        eps = 1e-6
-        half = np.full((2, 2), 0.5)
-        P = Kernel(StateSpace.range(4),
-                   np.block([[(1 - eps) * half, eps * half],
-                             [eps * half, (1 - eps) * half]]))
-        d = decompose(P)
+        d = decompose(SLOW_MIXING)
+        check_projector(d, SLOW_MIXING)
         assert d.n_classes == 1
         assert_allclose(d.projector(), np.full((4, 4), 0.25), atol=1e-10)
-
-    def test_zero_projector_rejected(self, monkeypatch):
-        # the zero matrix satisfies all three projector identities
-        monkeypatch.setattr(ErgodicDecomposition, "projector",
-                            lambda self: np.zeros((2, 2)))
-        with pytest.raises(ArithmeticError, match="mass one"):
-            decompose(TWO_STATE)
 
     def test_averaging_projector_two_state(self):
         pi = averaging_projector(TWO_STATE)
@@ -120,6 +119,22 @@ def stiff_generators(count=200, shared_cycle=False):
         yield Generator(StateSpace.range(n), off - np.diag(off.sum(axis=1)))
 
 
+class TestCheckProjector:
+    """The projector identities that decompose is held to in the tests."""
+
+    def test_accepts_every_decomposition(self):
+        for S in (TWO_STATE, ABSORBING_PAIR, BRIDGE, SLOW_MIXING,
+                  *stiff_generators()):
+            check_projector(decompose(S), S)
+
+    def test_zero_projector_rejected(self, monkeypatch):
+        # the zero matrix satisfies all three projector identities
+        monkeypatch.setattr(solver.ErgodicDecomposition, "projector",
+                            lambda self: np.zeros((2, 2)))
+        with pytest.raises(AssertionError, match="mass one"):
+            check_projector(decompose(TWO_STATE), TWO_STATE)
+
+
 class TestRateForm:
     """One decomposition, read off P - I for kernels and Q for generators."""
 
@@ -151,6 +166,7 @@ class TestRateForm:
                                          [0.3, 0.0, 0.3, 0.2]],
                    kind="sub-markovian")
         d = decompose(K)
+        check_projector(d, K)
         assert [list(c.members) for c in d.classes] == [[0, 1]]
         assert list(d.transient.members) == [2, 3]
         # from state 3: a = 0.3 + 0.2 a  =>  a = 0.375
@@ -167,6 +183,7 @@ class TestRateForm:
                                             [0.0, 0.0, 0.5, -0.5, 0.0],
                                             [1.0, 0.0, 3.0, 0.0, -4.0]])
         d = decompose(G)
+        check_projector(d, G)
         assert [list(c.members) for c in d.classes] == [[0, 1], [2, 3]]
         assert list(d.transient.members) == [4]
         assert_allclose(d.class_measures[0].weights,
@@ -337,7 +354,7 @@ class TestEnvelopeClassLaw:
                                                  p_down):
         bundle = birth_death(n, p_down)
         calls = count_solves(monkeypatch)
-        (law,) = decompose(bundle.kernel, verify=False).class_measures
+        (law,) = decompose(bundle.kernel).class_measures
         assert calls == []
         exact = bundle.m.weights
         normal = exact >= np.finfo(float).tiny
@@ -351,8 +368,7 @@ class TestEnvelopeClassLaw:
         bundle = birth_death(1200, 0.7)
         rows = bundle.kernel.rows[::-1, ::-1]
         calls = count_solves(monkeypatch)
-        (law,) = decompose(Kernel(bundle.kernel.space, rows),
-                           verify=False).class_measures
+        (law,) = decompose(Kernel(bundle.kernel.space, rows)).class_measures
         assert calls == []
         exact = bundle.m.weights[::-1]
         normal = exact >= np.finfo(float).tiny
@@ -365,15 +381,17 @@ class TestEnvelopeClassLaw:
         K = courtois_blocks(rng, [int(v) for v in rng.integers(20, 80, 4)],
                             1e-6)
         calls = count_solves(monkeypatch)
-        (law,) = decompose(K).class_measures
+        d = decompose(K)
         assert calls == []
+        check_projector(d, K)
+        (law,) = d.class_measures
         ref = gth_stationary(K.rows - np.eye(K.size))
         assert np.abs(law.weights / ref - 1.0).max() <= 1e-12
 
     def test_lazy_cycle_is_uniform(self, monkeypatch):
         K = lazy_cycle(600).kernel
         calls = count_solves(monkeypatch)
-        (law,) = decompose(K, verify=False).class_measures
+        (law,) = decompose(K).class_measures
         assert calls == []
         assert np.abs(600.0 * law.weights - 1.0).max() <= 1e-15
 
@@ -386,7 +404,7 @@ class TestEnvelopeClassLaw:
             K = block_chain(k=2, block_size=250).kernel
             blocks = [np.arange(250), np.arange(250, 500)]
         calls = count_solves(monkeypatch)
-        laws = decompose(K, verify=False).class_measures
+        laws = decompose(K).class_measures
         assert calls == []
         assert len(laws) == len(blocks)
         for idx, law in zip(blocks, laws):
@@ -399,7 +417,9 @@ class TestEnvelopeClassLaw:
         # a block take its deferred product
         rng = np.random.default_rng(100 + seed)
         K = sparse_cycle_kernel(rng, int(rng.integers(40, 301)))
-        (law,) = decompose(K).class_measures
+        d = decompose(K)
+        check_projector(d, K)
+        (law,) = d.class_measures
         ref = gth_stationary(K.rows - np.eye(K.size))
         assert np.abs(law.weights / ref - 1.0).max() <= 1e-12
 
@@ -425,7 +445,7 @@ class TestEnvelopeAbsorption:
                         [0.0, 0.0, 1.0]])
         pi = averaging_projector(K)
         assert np.abs(pi.sum(axis=1) - 1.0).max() <= 1e-15
-        decompose(K)
+        check_projector(decompose(K), K)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_sparse_transient_sets_match_a_dense_solve(self, seed):
@@ -440,7 +460,9 @@ class TestEnvelopeAbsorption:
         rows[:t, t:] = leaks
         rows[:t] /= rows[:t].sum(axis=1, keepdims=True)
         rows[t, t] = rows[t + 1, t + 1] = 1.0
-        d = decompose(Kernel(StateSpace.range(t + 2), rows))
+        K = Kernel(StateSpace.range(t + 2), rows)
+        d = decompose(K)
+        check_projector(d, K)
         assert list(d.transient.members) == list(range(t))
         targets = [int(c.members[0]) for c in d.classes]
         assert sorted(targets) == [t, t + 1]
@@ -457,9 +479,11 @@ class TestEnvelopeAbsorption:
         for i in range(1, N):
             rows[i, i + 1] = up
             rows[i, i - 1] = 1.0 - up
+        K = Kernel(StateSpace.range(N + 1), rows)
         calls = count_solves(monkeypatch)
-        d = decompose(Kernel(StateSpace.range(N + 1), rows))
+        d = decompose(K)
         assert calls == []
+        check_projector(d, K)
         r = (1.0 - up) / up
         i = np.arange(N + 1)
         at_zero = r ** i * (r ** (N - i) - 1.0) / (r ** N - 1.0)
