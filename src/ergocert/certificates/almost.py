@@ -508,9 +508,6 @@ def check_seed_index(S: Generator, mu: Measure, alpha: float) -> Certificate:
     if abs(mu.mass - 1.0) > 1e-9:
         raise ValueError("seed measure must be a probability")
     alpha = float(alpha)
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-
     m_ref = auxiliary_measure(S, mu, alpha)
     rows = Evidence(S, mu, 256).rows("mean")
     worst_tag, c_tilde = _mass_sup(rows, _null_atoms(m_ref))

@@ -2,8 +2,9 @@
 
 A semigroup is either a Kernel (unit-time step, powers give the rest) or
 a Generator (conservative rate matrix, transition matrices come from
-uniformization). A measure goes through a resolvent by one transposed
-solve in auxiliary_measure, and the operators are formed only to be read.
+uniformization). A measure goes through a resolvent by one push in
+auxiliary_measure, and the operators are formed only to be read; every
+push is solver._resolvent_push, which subtracts nothing and keeps mass.
 Every transition and time average of a generator comes from one
 uniformization series, _series, which _flow runs at a time halved until
 the Poisson weights stay in range before it climbs the doubling ladder of
@@ -229,20 +230,29 @@ def transition_at(S: Semigroup, t) -> Kernel:
                   on_rowsum="renormalize" if flow.rung else "reject")
 
 
+def _push(S: Semigroup, mu: np.ndarray, alpha) -> np.ndarray:
+    """mu (2I - K)^{-1} or mu (alpha I - Q)^{-1}, with slack 2 - K(x, X)
+    or alpha."""
+    from .solver import _resolvent_push
+    if isinstance(S, Kernel):
+        slack = 2.0 - S.rows.sum(axis=1)
+        if (slack <= 0.0).any():
+            raise ValueError("a kernel row sums to 2 or more: its resolvent "
+                             "push is not nonnegative")
+        return _resolvent_push(S.rows, slack, mu)
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    return _resolvent_push(S.rates, np.full(S.size, float(alpha)), mu)
+
+
 def resolvent_raw(G: Generator, alpha: float) -> np.ndarray:
     """R_alpha = (alpha I - Q)^{-1} as a plain matrix, for code that reads
-    the operator; measures go via auxiliary_measure. One solve, and every
-    row sum of R_alpha must stay within 1e-9 of 1/alpha."""
+    the operator; measures go via auxiliary_measure. One push of the
+    identity, so alpha R_alpha keeps mass one on every row."""
     if not isinstance(G, Generator):
         raise ValueError("resolvents of discrete semigroups come from "
                          "discrete_resolvent")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    X = np.linalg.solve(alpha * np.eye(G.size) - G.rates, np.eye(G.size))
-    if np.abs(alpha * X.sum(axis=1) - 1.0).max() > 1e-9:
-        raise ArithmeticError("resolvent solve lost mass; generator is "
-                              "too ill-conditioned at this alpha")
-    return X
+    return _push(G, np.eye(G.size), alpha)
 
 
 def resolvent(S: Semigroup, alpha: float) -> Kernel:
@@ -253,12 +263,12 @@ def resolvent(S: Semigroup, alpha: float) -> Kernel:
 
 
 def discrete_resolvent(K: Kernel) -> Kernel:
-    """Half-geometric resolvent sum_k 2^-(k+1) K^k = (1/2)(I - K/2)^{-1},
-    for code that reads the operator; measures go via auxiliary_measure."""
+    """Half-geometric resolvent sum_k 2^-(k+1) K^k = (2I - K)^{-1}, for
+    code that reads the operator; measures go via auxiliary_measure. One
+    push of the identity."""
     if not isinstance(K, Kernel):
         raise ValueError("discrete_resolvent expects a kernel")
-    n = K.size
-    rows = np.linalg.solve(np.eye(n) - 0.5 * K.rows, 0.5 * np.eye(n))
+    rows = _push(K, np.eye(K.size), None)
     return Kernel(K.space, rows, kind=K.kind, on_rowsum="renormalize")
 
 
@@ -267,39 +277,18 @@ def auxiliary_measure(S: Semigroup, mu: Measure, alpha: float = 1.0) -> Measure:
 
     Discrete: mu composed with the half-geometric resolvent (same mass).
     Continuous: mu composed with the raw resolvent R_alpha (mass scaled
-    by 1/alpha). Either way mu goes through one transposed solve,
-    (I - K/2)^T x = mu/2 or (alpha I - Q)^T x = mu, and Measure rejects
-    a negative x; a continuous push must keep alpha x(X) within 1e-9
-    mu(X) of mu(X). The result respects its own null sets one step
-    further, through K or Q, which is asserted before returning: a null
-    atom stays null under alpha R_alpha exactly when no rate leads into
-    it from the support.
-
-    Where some float atom is 0, the exact support reach(supp mu), what the
-    graph K > 0 or Q > 0 leads to from supp mu, is kept for m.support.
+    by 1/alpha). Either way mu goes through one push, x (2I - K) = mu or
+    x (alpha I - Q) = mu, which subtracts nothing: summed over the states
+    its equations give sum_j x(j) slack(j) = mu(X), with slack 2 - K(j, X)
+    or alpha, so mass is kept by construction. An atom of x is 0 where no
+    path of K > 0 or Q > 0 leads to it from supp mu, or where it
+    underflows; then the exact support reach(supp mu) is m.support.
     """
     _check_same_space(mu, S)
-    if isinstance(S, Kernel):
-        rates = S.rows
-        x = np.linalg.solve((np.eye(S.size) - 0.5 * rates).T, 0.5 * mu.weights)
-    else:
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        rates = S.rates
-        x = np.linalg.solve((alpha * np.eye(S.size) - rates).T, mu.weights)
-        if abs(alpha * x.sum() - mu.mass) > 1e-9 * mu.mass:
-            raise ArithmeticError("resolvent solve lost mass; generator is "
-                                  "too ill-conditioned at this alpha")
-    m = Measure(S.space, x)
-    null = m.weights <= 0.0
-    leak = float((m.weights @ rates)[null].sum())
-    if leak > 1e-15 * max(1.0, m.mass):
-        raise AssertionError(
-            f"auxiliary measure leaks {leak:.3e} outside its support; "
-            "this should be impossible by construction")
-    if null.any():
+    m = Measure(S.space, _push(S, mu.weights, alpha))
+    if (m.weights <= 0.0).any():
         # reach(supp mu), one frontier of the graph at a time
-        adjacency = rates > 0.0
+        adjacency = (S.rows if isinstance(S, Kernel) else S.rates) > 0.0
         reach = frontier = mu.weights > 0.0
         while frontier.any():
             frontier = adjacency[frontier].any(axis=0) & ~reach

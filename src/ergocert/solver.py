@@ -7,8 +7,10 @@ elimination, blocked Grassmann-Taksar-Heyman censoring over the envelope
 of the rate block (_censor): no step subtracts, so every atom of a law
 is accurate relative to its own size. _absorb, the one absorption
 builder, censors a set of states with target sets and killed mass as
-absorbing targets. Every limit is one product, absorption weights times
-the stacked class laws: the projector Pi = H L, and m Pi = (m H) L.
+absorbing targets. _resolvent_push, the third user, pushes measures
+through every resolvent, 2I - K or alpha I - Q, with the row slack as
+the one absorbing target. Every limit is one product, absorption
+weights times the stacked class laws: Pi = H L, and m Pi = (m H) L.
 solve_eigen enumerates every invariant probability (one per closed
 class that keeps its mass), regardless of any reference measure.
 solve_cesaro_adjoint starts from a reference measure m and produces the
@@ -166,30 +168,48 @@ def _censor(a, first_col, first_row, exits=None) -> np.ndarray:
 def _stationary(M: np.ndarray) -> np.ndarray:
     """Probability x with x M = 0 for an irreducible block M.
 
-    M is block - I for a stochastic block or the rates of a generator
-    class; it is overwritten. _censor eliminates the states from the
-    last one down, and x is back-substituted from x(0) = 1 through the
-    censored rates into each state. The diagonal of M is never read and
-    nothing is subtracted, so each atom carries a relative error bound
-    that grows with the size of M but not with how stiff or nearly
-    decoupled the class is (O'Cinneide, Numer. Math. 65, 1993). An atom
-    reads 0 only where the law falls below the smallest subnormal. A law
-    that grows along the order is rescaled by powers of two on the way,
-    so it stays finite.
+    M holds the rates of the class, a stochastic block or a generator
+    block, off its diagonal; it is overwritten. _censor eliminates the
+    states from the last one down, and x is back-substituted from
+    x(0) = 1 through the censored rates into each state. Nothing is
+    subtracted, so each atom carries a relative error bound that grows
+    with the size of M but not with how stiff or nearly decoupled the
+    class is (O'Cinneide, Numer. Math. 65, 1993). An atom reads 0 only
+    where the law falls below the smallest subnormal. A law that grows
+    along the order is rescaled by powers of two, so it stays finite.
     """
-    n = M.shape[0]
-    if n == 1:
-        return np.ones(1)
     first_col, first_row = _profile(M)
     _censor(M, first_col, first_row)
-    x = np.zeros(n)
+    x = np.zeros(M.shape[0])
     x[0] = 1.0
-    for k in range(1, n):
+    for k in range(1, len(x)):
         r0 = first_row[k]
         x[k] = x[r0:k] @ M[r0:k, k]
         if x[k] > _RESCALE_AT:
             x[:k + 1] = np.ldexp(x[:k + 1], -int(np.frexp(x[k])[1]))
     return x / x.sum()
+
+
+def _resolvent_push(rates, slack, mu) -> np.ndarray:
+    """x with x A = mu, A with -rates off its diagonal and row sums
+    slack > 0, as 2I - K and alpha I - Q; mu is one measure or one per
+    row, and x has its shape. _censor takes the slack as the one exit,
+    so every pivot is a sum of nonnegative terms; mu is folded down
+    through the censored rows, and x back-substituted up through the
+    censored columns. Nothing is subtracted, so each atom of x is
+    accurate relative to its size (Alfa, Xue and Ye, Numer. Math. 90,
+    2002), and the equations summed give sum_j x(j) slack(j) = mu(X).
+    """
+    a = np.array(rates, dtype=float)
+    first_col, first_row = _profile(a)
+    s = _censor(a, first_col, first_row, np.array(slack, float)[:, None])
+    x = np.array(np.transpose(mu), dtype=float, order="C")
+    for k in range(len(a) - 1, -1, -1):
+        x[k] /= s[k]
+        x[first_col[k]:k] += np.multiply.outer(a[k, first_col[k]:k], x[k])
+    for k in range(1, len(a)):
+        x[k] += a[first_row[k]:k, k] @ x[first_row[k]:k]
+    return x.T
 
 
 def _absorb(A, states, targets, killed=None) -> np.ndarray:
@@ -358,13 +378,6 @@ def decompose(S) -> ErgodicDecomposition:
 
 def _build_decomposition(S, A, shift, lam, sub) -> ErgodicDecomposition:
     n = S.size
-
-    def rate_block(idx):
-        """M on the states idx, formed from a copy of A's block."""
-        block = A[np.ix_(idx, idx)]
-        block[np.diag_indices(idx.size)] -= shift
-        return block
-
     adjacency = A > 0.0
     n_comp, labels = _strong_components(adjacency)
     classes = []
@@ -379,7 +392,7 @@ def _build_decomposition(S, A, shift, lam, sub) -> ErgodicDecomposition:
             continue
         in_class[idx] = True
         w = np.zeros(n)
-        w[idx] = _stationary(rate_block(idx))
+        w[idx] = _stationary(A[np.ix_(idx, idx)])
         residual = np.abs((w @ A - shift * w) / lam).sum()
         if residual > EIGEN_RESIDUAL_TOL:
             raise ArithmeticError(
@@ -504,8 +517,8 @@ def solve_continuous(G: Generator) -> tuple[InvariantResult, ...]:
     """Invariant probabilities of a generator, one per closed rate class,
     from decompose. Each candidate nu must be fixed by alpha R_alpha, for
     alpha in {1/2, 1, 2}, within 1e-10 in l1. A closed class c makes
-    alpha I - Q block-triangular, so nu R_alpha is the solve of
-    (alpha I - Q_cc)^T against nu on the class block.
+    alpha I - Q block-triangular, so nu R_alpha is the resolvent push of
+    nu on the class block alone, with slack alpha.
     """
     decomp = decompose(G)
     out = []
@@ -513,9 +526,9 @@ def solve_continuous(G: Generator) -> tuple[InvariantResult, ...]:
         w = nu.weights
         residual = float(np.abs(w @ G.rates).sum())
         idx = list(cls.members)
-        qt, wc = G.rates[np.ix_(idx, idx)].T, w[idx]
+        qc, wc = G.rates[np.ix_(idx, idx)], w[idx]
         for a in (0.5, 1.0, 2.0):
-            pushed = np.linalg.solve(a * np.eye(len(idx)) - qt, wc)
+            pushed = _resolvent_push(qc, np.full(len(idx), a), wc)
             drift = float(np.abs(a * pushed - wc).sum())
             if drift > 1e-10:
                 raise ArithmeticError(

@@ -12,8 +12,11 @@ one a plain L @ R. expm_flow is the matrix-exponential reference for a
 generator's transition and time average. reachable is the plain
 depth-first search of a graph that support decisions are held to.
 check_projector holds a decomposition to the identities of its limit
-projector.
+projector. rational_push is the exact resolvent push that
+solver._resolvent_push is held to, and push_spy counts the pushes.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -138,6 +141,23 @@ def product_spy(monkeypatch, dense=False):
     return calls
 
 
+def push_spy(monkeypatch):
+    """Record (rates shape, mu shape) of every resolvent push.
+
+    The spy sits at solver._resolvent_push, which solve_continuous looks
+    up by name and semigroup imports each time it pushes.
+    """
+    calls = []
+    real = solver._resolvent_push
+
+    def spy(rates, slack, mu):
+        calls.append((np.shape(rates), np.shape(mu)))
+        return real(rates, slack, mu)
+
+    monkeypatch.setattr(solver, "_resolvent_push", spy)
+    return calls
+
+
 def expm_flow(G, m, t):
     """(m P_t, (1/t) integral_0^t m P_s ds) from one matrix exponential.
 
@@ -199,3 +219,36 @@ def check_projector(decomp, S, tol=1e-10):
         assert err <= tol, f"projector identity {name} off by {err:.3e}"
     err = np.abs(pi.sum(axis=1) - 1.0).max()
     assert sub or err <= tol, f"projector rows miss mass one by {err:.3e}"
+
+
+def rational_push(rates, slack, mu):
+    """x with x A = mu in exact rational arithmetic.
+
+    A has -rates off its diagonal, and its diagonal is the exact sum of
+    the off-diagonal rates of its row plus the slack, so the row sums of
+    A are the slack. Every input is read exactly as a fractions.Fraction;
+    the float diagonal of a generator, which is rounded, is never read.
+    mu is one measure or a stack of them, one per row, and x has its
+    shape, as nested lists of Fractions. A is a nonsingular M-matrix when
+    every slack is positive, so Gaussian elimination on the transposed
+    system needs no pivoting.
+    """
+    r = [[Fraction(v) for v in row] for row in np.asarray(rates).tolist()]
+    rhs = np.atleast_2d(mu).tolist()
+    n, m = len(r), len(rhs)
+    t = [[-r[j][i] for j in range(n)] + [Fraction(b[i]) for b in rhs]
+         for i in range(n)]
+    for i in range(n):
+        t[i][i] = sum(r[i][:i] + r[i][i + 1:], Fraction(slack[i]))
+    for k in range(n):
+        for i in range(k + 1, n):
+            f = t[i][k] / t[k][k]
+            if f:
+                for j in range(k, n + m):
+                    t[i][j] -= f * t[k][j]
+    x = [[Fraction(0)] * n for _ in range(m)]
+    for c in range(m):
+        for k in reversed(range(n)):
+            x[c][k] = (t[k][n + c] - sum(t[k][j] * x[c][j]
+                                         for j in range(k + 1, n))) / t[k][k]
+    return x if np.ndim(mu) == 2 else x[0]

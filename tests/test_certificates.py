@@ -39,7 +39,7 @@ from ergocert.certificates.averages import (
     mean_rows,
 )
 from ergocert.certificates.worstset import KnapsackResult, knapsack_best
-from oracles import reachable
+from oracles import push_spy, reachable
 
 S2 = StateSpace.range(2)
 TWO_STATE = Kernel(S2, [[0.9, 0.1], [0.2, 0.8]])
@@ -139,6 +139,16 @@ def faint_edges(rng):
     return edges
 
 
+def faint_kernel(rng):
+    """A markovian kernel on the edges of faint_edges, each empty row
+    given one edge of weight 1."""
+    rows = faint_edges(rng)
+    n = len(rows)
+    empty = rows.sum(axis=1) == 0.0
+    rows[empty, rng.integers(0, n, int(empty.sum()))] = 1.0
+    return Kernel(StateSpace.range(n), rows / rows.sum(axis=1, keepdims=True))
+
+
 class TestAbsoluteContinuityGraph:
     """The verdict against oracles.reachable, on graphs whose faint edges
     carry flows far below any float tolerance."""
@@ -177,12 +187,7 @@ class TestAbsoluteContinuityGraph:
         rng = np.random.default_rng(23)
         failed = 0
         for _ in range(300):
-            rows = faint_edges(rng)
-            n = len(rows)
-            empty = rows.sum(axis=1) == 0.0
-            rows[empty, rng.integers(0, n, int(empty.sum()))] = 1.0
-            K = Kernel(StateSpace.range(n),
-                       rows / rows.sum(axis=1, keepdims=True))
+            K = faint_kernel(rng)
             for m in self.references(rng, K, 1.0):
                 failed += not self.graph_verdict(K, m, K.rows)
         assert failed > 0
@@ -201,8 +206,8 @@ class TestAbsoluteContinuityGraph:
 
 
 class TestSolveCounts:
-    """np.linalg.solve calls on Q = K - I of birth_death(50): one
-    factorization per resolvent push, none for the support check."""
+    """Resolvent pushes on Q = K - I of birth_death(50): one per resolvent
+    kernel or smoothed measure, none for the support check."""
 
     K = birth_death(50).kernel
     G = Generator(K.space, K.rows - np.eye(50))
@@ -218,13 +223,7 @@ class TestSolveCounts:
     ], ids=["auxiliary-measure", "absolute-continuity",
             "resolvent-almost-invariance", "uniform-lp-bound"])
     def test_solves(self, monkeypatch, run, solves):
-        calls = []
-        real_solve = np.linalg.solve
-
-        def solve(a, b):
-            calls.append(np.shape(b))
-            return real_solve(a, b)
-        monkeypatch.setattr(np.linalg, "solve", solve)
+        calls = push_spy(monkeypatch)
         run(self.G, self.M, self.PARAMS)
         assert len(calls) == solves
 
@@ -690,16 +689,10 @@ class TestUniformLpBound:
             check_uniform_lp_bound(TWO_STATE, M_UNIFORM, 2.0)
 
     def test_conclusion_reads_the_formed_kernels(self, monkeypatch):
-        # one solve per resolvent kernel, none for the support check,
+        # one push per resolvent kernel, none for the support check,
         # which reads the rates, and none for the class law; one
         # projector for the limit kernel
-        solves = []
-        real_solve = np.linalg.solve
-
-        def solve(a, b):
-            solves.append(np.shape(b))
-            return real_solve(a, b)
-        monkeypatch.setattr(np.linalg, "solve", solve)
+        solves = push_spy(monkeypatch)
         projectors = []
         for module in (almost, averages):
             real = module.averaging_projector

@@ -22,7 +22,7 @@ from ergocert.solver import (
     verify_count_bound,
 )
 from oracles import (cesaro_doubling, check_projector, gth_stationary,
-                     product_spy)
+                     product_spy, push_spy)
 
 S2 = StateSpace.range(2)
 S3 = StateSpace.range(3)
@@ -192,18 +192,12 @@ class TestRateForm:
         assert_allclose(d.absorption.sum(axis=1), 1.0, rtol=1e-15)
 
     def test_solve_continuous_forms_no_operator(self, monkeypatch):
-        rhs_shapes = []
-        real_solve = np.linalg.solve
-
-        def solve(a, b):
-            rhs_shapes.append(np.shape(b))
-            return real_solve(a, b)
-        monkeypatch.setattr(np.linalg, "solve", solve)
+        calls = push_spy(monkeypatch)
         G = Generator(S3, [[-1.0, 0.5, 0.5], [1.0, -2.0, 1.0],
                            [0.2, 0.3, -0.5]])
         (res,) = solve_continuous(G)
         assert res.residual <= 1e-12
-        assert rhs_shapes and (3, 3) not in rhs_shapes
+        assert calls and (3, 3) not in [rhs for _, rhs in calls]
 
 
 class TestStrongComponents:
@@ -734,21 +728,15 @@ class TestSolveContinuous:
         assert_allclose(found[1], [2 / 3, 1 / 3, 0.0, 0.0], atol=1e-12)
 
     def test_class_laws_checked_on_the_class_block(self, monkeypatch):
-        # 100 two-state classes: every solve stays on one class block
-        shapes = []
-        real_solve = np.linalg.solve
-
-        def solve(a, b):
-            shapes.append(np.shape(a))
-            return real_solve(a, b)
-        monkeypatch.setattr(np.linalg, "solve", solve)
+        # 100 two-state classes: every push stays on one class block
+        calls = push_spy(monkeypatch)
         rates = np.zeros((200, 200))
         for lo in range(0, 200, 2):
             up, down = 1.0 + lo / 100, 2.0
             rates[lo:lo + 2, lo:lo + 2] = [[-up, up], [down, -down]]
         results = solve_continuous(Generator(StateSpace.range(200), rates))
         assert len(results) == 100
-        assert shapes and max(max(s) for s in shapes) <= 2
+        assert calls and max(max(a) for a, _ in calls) <= 2
         for k, res in enumerate(results):
             up = 1.0 + 2 * k / 100
             assert_allclose(res.nu.weights[2 * k:2 * k + 2],
