@@ -4,10 +4,11 @@ Every subcommand reads JSON documents produced by the io module, runs
 one library routine, and prints (or saves) a JSON result. Exit codes:
 0 when every requested verdict holds or the computation finished, 2
 when a requested certificate fails (the witness is in the printed
-report), 1 on usage or file errors. ERGOCERT_THREADS caps the BLAS
-thread pools used by the array backend; it must be set before numpy
-loads, which is why the environment is patched at the top of this
-module.
+report), 1 on usage or file errors. The argument parser is built once
+per process, on first use, and each input document is schema-checked
+once, when it is loaded. ERGOCERT_THREADS caps the BLAS thread pools
+used by the array backend; it must be set before numpy loads, which is
+why the environment is patched at the top of this module.
 """
 
 import os
@@ -19,6 +20,7 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -35,7 +37,7 @@ from .harnack import (PerturbationSpec, certify_harnack_pipeline,
                       certify_perturbation, check_harnack_drift,
                       harnack_constant, harnack_maximizer, perturb)
 from .pipeline import (_decay_summary, _index_summary, _invariant_record,
-                       _write_decay_csv, _write_index_csv, run_pipeline)
+                       _run_checked, _write_decay_csv, _write_index_csv)
 from .certificates import almost, drift
 from .certificates.phi import (AlmostInvarianceParams, PhiLinear, PhiPower,
                                PhiTable)
@@ -74,10 +76,9 @@ def _load_system(args):
     if kernel and generator:
         raise UsageError("give either --kernel or --generator, not both")
     if kernel:
-        return eio.kernel_from_doc(eio.load_document(kernel, "kernel"))
+        return eio._load(kernel, "kernel")
     if generator:
-        return eio.generator_from_doc(
-            eio.load_document(generator, "generator"))
+        return eio._load(generator, "generator")
     raise UsageError("need --kernel or --generator")
 
 
@@ -87,7 +88,7 @@ def _load_measure(args, space, required=True):
         if required:
             raise UsageError("this command needs --measure")
         return None
-    return eio.measure_from_doc(eio.load_document(path, "measure"), space)
+    return eio._load(path, "measure", space)
 
 
 def _state_arg(raw):
@@ -140,15 +141,12 @@ class _CertifyContext:
     def fn(self):
         if self.args.lyapunov is None:
             raise UsageError("this condition needs --lyapunov")
-        return eio.statefn_from_doc(
-            eio.load_document(self.args.lyapunov, "statefn"),
-            self.system.space)
+        return eio._load(self.args.lyapunov, "statefn", self.system.space)
 
     def set(self):
         if self.args.set is None:
             raise UsageError("this condition needs --set")
-        return eio.stateset_from_doc(
-            eio.load_document(self.args.set, "stateset"), self.system.space)
+        return eio._load(self.args.set, "stateset", self.system.space)
 
     def p(self, key):
         if key not in self.params:
@@ -303,7 +301,7 @@ def _cmd_resolvent(args):
 
 
 def _cmd_harnack(args):
-    P = eio.kernel_from_doc(eio.load_document(args.kernel, "kernel"))
+    P = eio._load(args.kernel, "kernel")
     hc = harnack_constant(P, _state_arg(args.x), _state_arg(args.y), args.p)
     doc = {"M": hc.M, "finite": hc.finite, "p": hc.p,
            "x": P.space.labels[hc.x], "y": P.space.labels[hc.y]}
@@ -315,21 +313,19 @@ def _cmd_harnack(args):
 
 
 def _cmd_perturb(args):
-    P = eio.kernel_from_doc(eio.load_document(args.kernel, "kernel"))
-    rho = eio.statefn_from_doc(eio.load_document(args.rho, "statefn"),
-                               P.space)
+    P = eio._load(args.kernel, "kernel")
+    rho = eio._load(args.rho, "statefn", P.space)
     Q = None
     if args.q:
-        Q = eio.kernel_from_doc(eio.load_document(args.q, "kernel"))
+        Q = eio._load(args.q, "kernel")
     mixed = perturb(P, PerturbationSpec(rho, Q))
     _emit(eio.kernel_to_doc(mixed), args.out)
     return 0
 
 
 def _cmd_convergence(args):
-    P = eio.kernel_from_doc(eio.load_document(args.kernel, "kernel"))
-    V = eio.statefn_from_doc(eio.load_document(args.lyapunov, "statefn"),
-                             P.space)
+    P = eio._load(args.kernel, "kernel")
+    V = eio._load(args.lyapunov, "statefn", P.space)
     m = _load_measure(args, P.space)
     if args.grid:
         grid = tuple(int(t) for t in args.grid.split(","))
@@ -350,7 +346,7 @@ def _cmd_pipeline(args):
         config["out"] = args.out
     if args.csv_dir:
         config["csv_dir"] = args.csv_dir
-    report = run_pipeline(config, base_dir=Path(args.config).parent)
+    report = _run_checked(config, Path(args.config).parent)
     if "out" not in config:
         _emit(report.to_doc())
     if report.errors or not report.all_hold:
@@ -358,6 +354,7 @@ def _cmd_pipeline(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
     parser = _Parser(prog="ergocert",
                      description="invariant-measure certificates for finite "

@@ -1,13 +1,18 @@
 """JSON documents for kernels, measures, functions, scenarios, reports.
 
 Every document is a flat JSON object with a "type" discriminator and is
-validated against the shipped schema on both save and load; each
-schema is built into a validator, and checked itself, once on first
-use. Measures
-and functions carry the full label list so a file stands on its own;
-loaders accept an expected space and verify the labels against it.
-Floats that JSON cannot carry (inf, nan) are stored as strings and
-revived on read.
+validated against the shipped schema once on its way in or out: when it
+is loaded, saved, or built (certificates, reports). A document that
+load_document has checked is built into its object without a second
+check. Each schema is built into a validator, and checked itself, once
+on first use. The schema does not descend into the entries of a matrix
+or vector field (kernel rows, generator rates, measure weights, statefn
+values) that are plain JSON numbers; one type pass finds them, and
+JSON booleans, which numpy would read as 0 and 1, are no plain numbers.
+Measures and functions carry the full label list so a file stands on
+its own; loaders accept an expected space and verify the labels
+against it. Floats that JSON cannot carry (inf, nan) are stored as
+strings and revived on read.
 """
 
 import csv
@@ -174,6 +179,9 @@ def jsonable(value):
     """Recursively convert numpy scalars/arrays and non-finite floats."""
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
+    if (isinstance(value, np.ndarray) and value.ndim
+            and value.dtype.kind in "biuf" and np.isfinite(value).all()):
+        return value.tolist()
     if isinstance(value, (list, tuple, np.ndarray)):
         return [jsonable(v) for v in value]
     if isinstance(value, (bool, np.bool_)):
@@ -199,9 +207,46 @@ def _validator(tag: str):
     return cls(schema)
 
 
+# the matrix or vector field of each numeric document
+_ENTRIES = {"kernel": "rows", "generator": "rates", "measure": "weights",
+            "statefn": "values"}
+_PLAIN = frozenset((float, int))
+_NAMED = frozenset(("inf", "-inf", "nan"))
+
+
+def _plain(entries, tag: str) -> bool:
+    """Whether every entry of one list satisfies the schema: a JSON number,
+    or in a statefn the name of a non-finite float. bool is no plain type."""
+    if type(entries) is not list:
+        return False
+    kinds = set(map(type, entries))
+    if kinds <= _PLAIN:
+        return True
+    return (tag == "statefn" and kinds <= _PLAIN | {str}
+            and _NAMED.issuperset(v for v in entries if type(v) is str))
+
+
+def _held_out(doc, tag: str):
+    """doc with each plain list of its numeric field emptied.
+
+    A plain list raises no schema error, and every other part of doc is
+    kept where it was, so the schema finds the same errors at the same
+    paths in the result as in doc, without visiting the plain entries.
+    """
+    field = _ENTRIES.get(tag)
+    if type(doc) is not dict or type(doc.get(field)) is not list:
+        return doc
+    value = doc[field]
+    if tag in ("measure", "statefn"):
+        return {**doc, field: [] if _plain(value, tag) else value}
+    return {**doc, field: [[] if _plain(row, tag) else row for row in value]}
+
+
 def _check(doc: dict, tag: str) -> None:
-    """What jsonschema.validate does, without re-checking the schema."""
-    error = jsonschema.exceptions.best_match(_validator(tag).iter_errors(doc))
+    """What jsonschema.validate does, without re-checking the schema or
+    visiting the plain entries of a numeric field."""
+    error = jsonschema.exceptions.best_match(
+        _validator(tag).iter_errors(_held_out(doc, tag)))
     if error is not None:
         raise error
 
@@ -227,6 +272,10 @@ def kernel_to_doc(K: Kernel) -> dict:
 
 def kernel_from_doc(doc: dict) -> Kernel:
     validate_document(doc)
+    return _kernel(doc)
+
+
+def _kernel(doc: dict) -> Kernel:
     space = StateSpace(doc["labels"])
     return Kernel(space, np.array(doc["rows"], dtype=float),
                   kind=doc.get("kind", "markovian"))
@@ -239,6 +288,10 @@ def generator_to_doc(G: Generator) -> dict:
 
 def generator_from_doc(doc: dict) -> Generator:
     validate_document(doc)
+    return _generator(doc)
+
+
+def _generator(doc: dict) -> Generator:
     space = StateSpace(doc["labels"])
     lam = doc.get("lam")
     return Generator(space, np.array(doc["rates"], dtype=float), lam=lam)
@@ -253,9 +306,9 @@ def semigroup_to_doc(S) -> dict:
 def semigroup_from_doc(doc: dict):
     tag = validate_document(doc)
     if tag == "kernel":
-        return kernel_from_doc(doc)
+        return _kernel(doc)
     if tag == "generator":
-        return generator_from_doc(doc)
+        return _generator(doc)
     raise ValueError(f"expected kernel or generator, got {tag}")
 
 
@@ -274,6 +327,10 @@ def measure_to_doc(m: Measure) -> dict:
 
 def measure_from_doc(doc: dict, space: StateSpace | None = None) -> Measure:
     validate_document(doc)
+    return _measure(doc, space)
+
+
+def _measure(doc: dict, space: StateSpace | None = None) -> Measure:
     sp = _check_labels(doc, space, "measure")
     return Measure(sp, np.array(doc["weights"], dtype=float))
 
@@ -285,6 +342,10 @@ def statefn_to_doc(f: StateFn) -> dict:
 
 def statefn_from_doc(doc: dict, space: StateSpace | None = None) -> StateFn:
     validate_document(doc)
+    return _statefn(doc, space)
+
+
+def _statefn(doc: dict, space: StateSpace | None = None) -> StateFn:
     sp = _check_labels(doc, space, "statefn")
     values = np.array([float(v) for v in doc["values"]])
     return StateFn(sp, values, extended=doc.get("extended", False))
@@ -297,6 +358,10 @@ def stateset_to_doc(s: StateSet) -> dict:
 
 def stateset_from_doc(doc: dict, space: StateSpace | None = None) -> StateSet:
     validate_document(doc)
+    return _stateset(doc, space)
+
+
+def _stateset(doc: dict, space: StateSpace | None = None) -> StateSet:
     sp = _check_labels(doc, space, "stateset")
     return StateSet(sp, doc["members"])
 
@@ -336,6 +401,19 @@ def load_document(path, expect: str | None = None) -> dict:
     if expect is not None and tag != expect:
         raise ValueError(f"expected a {expect} document, got {tag}")
     return doc
+
+
+# the object each loadable document type describes, built from a
+# document that has passed its schema check
+_BUILD = {"kernel": _kernel, "generator": _generator, "measure": _measure,
+          "statefn": _statefn, "stateset": _stateset}
+
+
+def _load(path, expect: str, *space):
+    """load_document(path, expect), built into its object without a
+    second check; space is the expected space of a measure, statefn or
+    stateset."""
+    return _BUILD[expect](load_document(path, expect), *space)
 
 
 def write_series_csv(path, columns, rows) -> None:

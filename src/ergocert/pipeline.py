@@ -104,7 +104,13 @@ class Report:
     errors: list = field(default_factory=list)
 
     def to_doc(self) -> dict:
-        doc = {
+        doc = self._doc()
+        eio.validate_document(doc)
+        return doc
+
+    def _doc(self) -> dict:
+        """to_doc without the schema check, for a caller that checks."""
+        return {
             "type": "report",
             "scenario": (None if self.scenario is None
                          else eio.scenario_to_doc(self.scenario)),
@@ -115,8 +121,6 @@ class Report:
             "timing": eio.jsonable(self.timing),
             "errors": list(self.errors),
         }
-        eio.validate_document(doc)
-        return doc
 
     @property
     def all_hold(self) -> bool:
@@ -194,8 +198,8 @@ def _resolve_inputs(config, base_dir):
     """Returns (scenario|None, system, V, C, m_explicit, mu)."""
     base = Path(base_dir) if base_dir is not None else Path(".")
 
-    def _load(name, expect):
-        return eio.load_document(base / config["inputs"][name], expect)
+    def _load(name, expect, *space):
+        return eio._load(base / config["inputs"][name], expect, *space)
 
     scenario = None
     V = C = None
@@ -209,19 +213,17 @@ def _resolve_inputs(config, base_dir):
     elif "inputs" in config:
         inputs = config["inputs"]
         if "kernel" in inputs:
-            system = eio.kernel_from_doc(_load("kernel", "kernel"))
+            system = _load("kernel", "kernel")
         elif "generator" in inputs:
-            system = eio.generator_from_doc(_load("generator", "generator"))
+            system = _load("generator", "generator")
         else:
             raise ValueError("inputs need a kernel or a generator file")
         if "lyapunov" in inputs:
-            V = eio.statefn_from_doc(_load("lyapunov", "statefn"),
-                                     system.space)
+            V = _load("lyapunov", "statefn", system.space)
         if "m" in inputs:
-            m_explicit = eio.measure_from_doc(_load("m", "measure"),
-                                              system.space)
+            m_explicit = _load("m", "measure", system.space)
         if "mu" in inputs:
-            mu = eio.measure_from_doc(_load("mu", "measure"), system.space)
+            mu = _load("mu", "measure", system.space)
     else:
         raise ValueError("config needs a scenario or inputs")
 
@@ -249,7 +251,11 @@ def run_pipeline(config, base_dir=None) -> Report:
             base_dir = path.parent
     else:
         eio.validate_document(config)
+    return _run_checked(config, base_dir)
 
+
+def _run_checked(config: dict, base_dir) -> Report:
+    """run_pipeline on a config that has passed its schema check."""
     with _shared_decompositions():
         report = _run_stages(config, base_dir)
     return _emit(report, config, base_dir)
@@ -385,7 +391,7 @@ def _run_stages(config, base_dir) -> Report:
 def _emit(report: Report, config, base_dir) -> Report:
     base = Path(base_dir) if base_dir is not None else Path(".")
     if "out" in config:
-        eio.save_document(report.to_doc(), base / config["out"])
+        eio.save_document(report._doc(), base / config["out"])
     if "csv_dir" in config:
         csv_dir = base / config["csv_dir"]
         csv_dir.mkdir(parents=True, exist_ok=True)

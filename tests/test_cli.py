@@ -1,7 +1,9 @@
 """Exit codes and document flow of the command line front end."""
 
+import collections
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -9,12 +11,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ergocert import cli, solver
 from ergocert import io as eio
-from ergocert import solver
 from ergocert.cli import main
 from ergocert.core import Kernel, Measure, StateFn, StateSet, StateSpace
 from ergocert.semigroup import Generator
 from test_pipeline import _count_calls
+from test_scenarios_io import MALFORMED
 
 S2 = StateSpace.range(2)
 TWO_STATE = Kernel(S2, [[0.9, 0.1], [0.2, 0.8]])
@@ -382,6 +385,135 @@ class TestPipeline:
         code = main(["pipeline", "--config", str(tmp_path / "absent.json")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestOneParser:
+    def gen(self, tmp_path):
+        return main(["gen", "--scenario", "two_state",
+                     "--out-dir", str(tmp_path / "b")])
+
+    def test_two_calls_build_one_parser(self, tmp_path, capsys):
+        cli._build_parser.cache_clear()
+        assert self.gen(tmp_path) == 0
+        assert self.gen(tmp_path) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_options_do_not_reach_the_next_call(self, tmp_path, capsys):
+        config = TestPipeline().config(tmp_path, [0.5, 0.5])
+        dest, csv_dir = tmp_path / "report.json", tmp_path / "csv"
+        code, out = run(capsys, ["pipeline", "--config", config,
+                                 "--out", str(dest),
+                                 "--csv-dir", str(csv_dir)])
+        assert (code, out) == (0, "")
+        assert dest.exists() and (csv_dir / "index_profile.csv").exists()
+        dest.unlink()
+        shutil.rmtree(csv_dir)
+        code, out = run(capsys, ["pipeline", "--config", config])
+        assert code == 0
+        assert json.loads(out)["type"] == "report"
+        assert not dest.exists() and not csv_dir.exists()
+
+    def test_usage_error_after_a_successful_call(self, tmp_path, capsys):
+        def usage_error():
+            with pytest.raises(SystemExit) as exc:
+                main(["invariant", "--bogus", "x"])
+            return exc.value.code, capsys.readouterr().err
+
+        cli._build_parser.cache_clear()
+        first = usage_error()
+        assert self.gen(tmp_path) == 0
+        capsys.readouterr()
+        assert usage_error() == first
+        assert first[0] == 1
+        assert first[1].endswith(
+            "ergocert: error: unrecognized arguments: --bogus x\n")
+
+
+class TestOneCheckPerDocument:
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        tags = collections.Counter()
+        real = eio._check
+
+        def spy(doc, tag):
+            tags[tag] += 1
+            return real(doc, tag)
+
+        monkeypatch.setattr(eio, "_check", spy)
+        return tags
+
+    @staticmethod
+    def certificates(docs):
+        return sum(1 + TestOneCheckPerDocument.certificates(d["attached"])
+                   for d in docs)
+
+    def test_pipeline_from_a_scenario(self, tmp_path, capsys, checks):
+        config, dest = tmp_path / "config.json", tmp_path / "report.json"
+        config.write_text(json.dumps(
+            {"type": "pipeline-config",
+             "scenario": {"id": "ou_grid", "params": {"n": 21}},
+             "steps": ["auxiliary-measure", "absolute-continuity",
+                       "index-profile", "almost-invariance", "invariant",
+                       "convergence", "harnack"]}))
+        main(["pipeline", "--config", str(config), "--out", str(dest)])
+        report = json.loads(dest.read_text())
+        assert not report["errors"]
+        certificates = self.certificates(report["certificates"])
+        assert certificates > len(report["certificates"])
+        assert checks == {"pipeline-config": 1, "scenario": 1, "report": 1,
+                          "certificate": certificates}
+
+    def test_pipeline_from_files(self, tmp_path, capsys, checks):
+        K = Kernel(S2, [[0.9, 0.1], [0.2, 0.8]])
+        (tmp_path / "k.json").write_text(json.dumps(eio.kernel_to_doc(K)))
+        (tmp_path / "m.json").write_text(json.dumps(
+            eio.measure_to_doc(Measure(S2, [0.5, 0.5]))))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"type": "pipeline-config",
+             "inputs": {"kernel": "k.json", "m": "m.json"}}))
+        code, out = run(capsys, ["pipeline", "--config", str(config)])
+        assert code == 0
+        report = json.loads(out)
+        assert checks == {"pipeline-config": 1, "kernel": 1, "measure": 1,
+                          "report": 1, "certificate": self.certificates(
+                              report["certificates"])}
+
+    def test_invariant_from_files(self, tmp_path, capsys, checks):
+        kp = tmp_path / "k.json"
+        mp = tmp_path / "m.json"
+        kp.write_text(json.dumps(eio.kernel_to_doc(TWO_STATE)))
+        mp.write_text(json.dumps(
+            eio.measure_to_doc(Measure(S2, [0.5, 0.5]))))
+        code, _ = run(capsys, ["invariant", "--kernel", str(kp),
+                               "--measure", str(mp)])
+        assert code == 0
+        assert checks == {"kernel": 1, "measure": 1}
+
+
+class TestMalformedInputFiles:
+    LOADERS = {eio.kernel_from_doc: "kernel",
+               eio.generator_from_doc: "generator",
+               eio.measure_from_doc: "measure",
+               eio.statefn_from_doc: "statefn"}
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_message(self, case, tmp_path, capsys):
+        doc, load, message = MALFORMED[case]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        path = str(path)
+        kp = str(tmp_path / "ab.json")
+        eio.save_document(eio.kernel_to_doc(Kernel(
+            StateSpace(["a", "b"]), np.eye(2))), kp)
+        argv = {"kernel": ["invariant", "--kernel", path],
+                "generator": ["invariant", "--generator", path],
+                "measure": ["invariant", "--kernel", kp, "--measure", path],
+                "statefn": ["perturb", "--kernel", kp, "--rho", path],
+                }[self.LOADERS[load]]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"ergocert: error: {message}\n"
 
 
 class TestUsageAndEnvironment:

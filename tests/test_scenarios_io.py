@@ -230,3 +230,188 @@ class TestFiles:
         assert lines[0] == "n,norm"
         assert lines[1] == "1,0.5"
         assert lines[2] == "2,0.25"
+
+
+def _kernel_doc(rows, labels=("a", "b")):
+    return {"type": "kernel", "labels": list(labels), "rows": rows}
+
+
+def _large_rows(i, j, entry, n=1200):
+    """n rows of n zeros, entry at (i, j); the clean rows share one list."""
+    rows = [[0.0] * n] * n
+    rows[i] = rows[i][:j] + [entry] + rows[i][j + 1:]
+    return rows
+
+
+LARGE_LABELS = [f"s{i}" for i in range(1200)]
+INHOMOGENEOUS = ("setting an array element with a sequence. The requested "
+                 "array has an inhomogeneous shape after 1 dimensions. The "
+                 "detected shape was (2,) + inhomogeneous part.")
+# each document, the loader that reads it, and the ValueError text it
+# raises, as the schema's walk through every matrix entry raised it
+MALFORMED = {
+    "kernel-ragged": (
+        _kernel_doc([[0.5, 0.5], [1.0]]), io.kernel_from_doc, INHOMOGENEOUS),
+    "kernel-empty-row": (
+        _kernel_doc([[0.5, 0.5], []]), io.kernel_from_doc, INHOMOGENEOUS),
+    "kernel-only-empty-row": (
+        _kernel_doc([[]], ["a"]), io.kernel_from_doc,
+        "expected (1, 1) matrix, got (1, 0)"),
+    "kernel-string": (
+        _kernel_doc([[0.5, "0.5"], [0.2, 0.8]]), io.kernel_from_doc,
+        "invalid kernel document: '0.5' is not of type 'number'"),
+    "kernel-true": (
+        _kernel_doc([[0.5, True], [0.2, 0.8]]), io.kernel_from_doc,
+        "invalid kernel document: True is not of type 'number'"),
+    "kernel-null": (
+        _kernel_doc([[0.5, None], [0.2, 0.8]]), io.kernel_from_doc,
+        "invalid kernel document: None is not of type 'number'"),
+    "kernel-row-not-a-list": (
+        _kernel_doc([[0.5, 0.5], 3]), io.kernel_from_doc,
+        "invalid kernel document: 3 is not of type 'array'"),
+    "kernel-no-rows": (
+        _kernel_doc([]), io.kernel_from_doc,
+        "invalid kernel document: [] should be non-empty"),
+    "kernel-rows-not-a-list": (
+        _kernel_doc(5), io.kernel_from_doc,
+        "invalid kernel document: 5 is not of type 'array'"),
+    "kernel-two-bad-rows": (
+        _kernel_doc([[True, 0.5], ["x", 0.8]]), io.kernel_from_doc,
+        "invalid kernel document: 'x' is not of type 'number'"),
+    "kernel-bad-entry-and-extra-field": (
+        {**_kernel_doc([[True, 0.5], [0.2, 0.8]]), "spurious": 1},
+        io.kernel_from_doc,
+        "invalid kernel document: Additional properties are not allowed "
+        "('spurious' was unexpected)"),
+    "kernel-bad-entry-and-no-labels": (
+        {"type": "kernel", "rows": [[True]]}, io.kernel_from_doc,
+        "invalid kernel document: 'labels' is a required property"),
+    "kernel-bad-entry-and-bad-label": (
+        _kernel_doc([[0.5, 0.5], [0.2, "y"]], ["a", 2]), io.kernel_from_doc,
+        "invalid kernel document: 2 is not of type 'string'"),
+    "kernel-label-count": (
+        _kernel_doc([[0.5, 0.5], [0.2, 0.8]], ["a"]), io.kernel_from_doc,
+        "expected (1, 1) matrix, got (2, 2)"),
+    "kernel-1200-string-in-row-1199": (
+        _kernel_doc(_large_rows(1199, 7, "x"), LARGE_LABELS),
+        io.kernel_from_doc,
+        "invalid kernel document: 'x' is not of type 'number'"),
+    "kernel-1200-true-in-row-1199": (
+        _kernel_doc(_large_rows(1199, 1198, True), LARGE_LABELS),
+        io.kernel_from_doc,
+        "invalid kernel document: True is not of type 'number'"),
+    "generator-ragged": (
+        {"type": "generator", "labels": ["a", "b"],
+         "rates": [[-1.0, 1.0], [0.0]]}, io.generator_from_doc,
+        INHOMOGENEOUS),
+    "generator-string": (
+        {"type": "generator", "labels": ["a", "b"],
+         "rates": [[-1.0, "1"], [1.0, -1.0]]}, io.generator_from_doc,
+        "invalid generator document: '1' is not of type 'number'"),
+    "generator-true": (
+        {"type": "generator", "labels": ["a", "b"],
+         "rates": [[-1.0, 1.0], [True, -1.0]]}, io.generator_from_doc,
+        "invalid generator document: True is not of type 'number'"),
+    "generator-label-count": (
+        {"type": "generator", "labels": ["a", "b", "c"],
+         "rates": [[-1.0, 1.0], [1.0, -1.0]]}, io.generator_from_doc,
+        "expected (3, 3) rate matrix, got (2, 2)"),
+    "measure-string": (
+        {"type": "measure", "labels": ["a", "b"], "weights": [0.5, "0.5"]},
+        io.measure_from_doc,
+        "invalid measure document: '0.5' is not of type 'number'"),
+    "measure-true": (
+        {"type": "measure", "labels": ["a", "b"], "weights": [True, 0.5]},
+        io.measure_from_doc,
+        "invalid measure document: True is not of type 'number'"),
+    "measure-nested": (
+        {"type": "measure", "labels": ["a", "b"], "weights": [[0.5], 0.5]},
+        io.measure_from_doc,
+        "invalid measure document: [0.5] is not of type 'number'"),
+    "measure-empty": (
+        {"type": "measure", "labels": ["a", "b"], "weights": []},
+        io.measure_from_doc, "expected 2 weights, got (0,)"),
+    "measure-label-count": (
+        {"type": "measure", "labels": ["a", "b"], "weights": [1.0]},
+        io.measure_from_doc, "expected 2 weights, got (1,)"),
+    "statefn-nan": (
+        {"type": "statefn", "labels": ["a", "b"], "values": ["nan", 1.0],
+         "extended": True}, io.statefn_from_doc,
+        "state function values must not be NaN"),
+    "statefn-unknown-name": (
+        {"type": "statefn", "labels": ["a", "b"],
+         "values": [0.0, "infinity"]}, io.statefn_from_doc,
+        "invalid statefn document: 'infinity' is not one of "
+        "['inf', '-inf', 'nan']"),
+    "statefn-true": (
+        {"type": "statefn", "labels": ["a", "b"], "values": [True, 0.0]},
+        io.statefn_from_doc,
+        "invalid statefn document: True is not valid under any of the "
+        "given schemas"),
+    "statefn-label-count": (
+        {"type": "statefn", "labels": ["a", "b"],
+         "values": [0.0, 1.0, "inf"], "extended": True},
+        io.statefn_from_doc, "expected 2 values, got (3,)"),
+}
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_message(self, case):
+        doc, load, message = MALFORMED[case]
+        with pytest.raises(ValueError) as exc:
+            load(doc)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_message_from_file(self, case, tmp_path):
+        doc, load, message = MALFORMED[case]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as exc:
+            load(io.load_document(path))
+        assert str(exc.value) == message
+
+    def test_named_non_finite_values_load(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(
+            {"type": "statefn", "labels": ["a", "b", "c"],
+             "values": ["inf", 1, 2.5], "extended": True}))
+        f = io.statefn_from_doc(io.load_document(path, "statefn"))
+        assert f.values.tolist() == [np.inf, 1.0, 2.5]
+        for values in (["nan", 0.0], ["-inf", 0.0]):
+            io.validate_document({"type": "statefn", "labels": ["a", "b"],
+                                  "values": values})
+
+    def test_boolean_entries_are_not_read_as_numbers(self):
+        # numpy would read the row [0.0, True] as [0.0, 1.0], a stochastic
+        # row; the schema's number type excludes JSON booleans
+        doc = _kernel_doc([[0.0, True], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="True is not of type"):
+            io.validate_document(doc)
+        assert np.array(doc["rows"], dtype=float)[0].tolist() == [0.0, 1.0]
+
+
+class TestJsonable:
+    @pytest.mark.parametrize("array", [
+        np.array([0.25, -0.0, 1e300]),
+        np.array([[0.5, 0.5], [1.0, 0.0]]),
+        np.array([0.1, 1 / 3], dtype=np.float32),
+        np.array([3, -7], dtype=np.int64),
+        np.array([2, 5], dtype=np.uint8),
+        np.array([True, False]),
+        np.zeros((3, 0)),
+        np.zeros(0),
+        np.array([np.inf, 1.0, -np.inf, np.nan]),
+        np.array([[1.0, np.nan], [np.inf, 2.0]]),
+    ], ids=lambda a: f"{a.dtype}{a.shape}")
+    def test_arrays_match_the_element_walk(self, array):
+        def leaves(value):
+            if isinstance(value, list):
+                return [leaf for v in value for leaf in leaves(v)]
+            return [value]
+
+        walked = io.jsonable(array.astype(object))
+        out = io.jsonable(array)
+        assert json.dumps(out) == json.dumps(walked)
+        assert list(map(type, leaves(out))) == list(map(type, leaves(walked)))
