@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Kernel, Measure, _grid_ladders, _Ladder, power, push,
-                   state_index, state_values)
+from .core import (PANEL, Kernel, Measure, _grid_ladders, _Ladder, power,
+                   push, state_index, state_values)
 from .semigroup import last_row, mean_rows
 from .solver import averaging_projector
 
@@ -46,10 +46,37 @@ def _check_invariant(P: Kernel, m: Measure) -> np.ndarray:
     return m.weights
 
 
-def _gap_norm(rows_n: np.ndarray, w: np.ndarray, weight: np.ndarray) -> float:
-    dev = rows_n - w[None, :]
-    np.abs(dev, out=dev)
-    return float(((dev @ weight) / weight).max())
+def _gap_norm(rows_n: np.ndarray, w: np.ndarray, weight: np.ndarray,
+              spans=None) -> float:
+    """max_x sum_a |rows_n(x, a) - w(a)| weight(a) / weight(x).
+
+    With spans, the row spans of rows_n (core._row_spans), each panel of
+    PANEL rows is summed only over its column hull [c0, c1). Outside the
+    hull rows_n is zero, so a row owes w(a) weight(a) there, read off the
+    prefix sum of w weight before c0 and its suffix sum from c1; both are
+    sums of nonnegative terms, and nothing is subtracted. Without spans
+    every entry is summed.
+    """
+    if spans is None:
+        dev = rows_n - w[None, :]
+        np.abs(dev, out=dev)
+        return float(((dev @ weight) / weight).max())
+    owed = w * weight
+    before = np.concatenate(([0.0], np.cumsum(owed)))
+    after = np.concatenate((np.cumsum(owed[::-1])[::-1], [0.0]))
+    n = len(rows_n)
+    starts = np.arange(0, n, PANEL)
+    c0s = np.minimum.reduceat(spans[0], starts)
+    c1s = np.maximum.reduceat(spans[1], starts)
+    sums = np.empty(n)
+    for r0, c0, c1 in zip(starts.tolist(), c0s.tolist(), c1s.tolist()):
+        if c0 >= c1:
+            c0 = c1 = 0  # every row of the panel is zero
+        r1 = min(r0 + PANEL, n)
+        dev = rows_n[r0:r1, c0:c1] - w[c0:c1]
+        np.abs(dev, out=dev)
+        sums[r0:r1] = dev @ weight[c0:c1] + (before[c0] + after[c1])
+    return float((sums / weight).max())
 
 
 def weighted_gap_norm(P: Kernel, m: Measure, V, n: int) -> float:
@@ -109,7 +136,10 @@ def decay_report(P: Kernel, m: Measure, V, n_grid=DEFAULT_GRID) -> DecayReport:
 
     The grid climbs one doubling ladder (core._grid_ladders): a horizon
     twice the one before squares its power, as power(P, n) would, and any
-    other calls power; the products skip structural zeros.
+    other calls power, which returns P itself for n = 1. The
+    products skip structural zeros, and the ladder carries the row spans
+    they find to the next squaring and to the norm, which sums each panel
+    of rows over its column hull only.
     """
     ns = tuple(int(n) for n in n_grid)
     if not ns or any(n < 1 for n in ns):
@@ -117,7 +147,8 @@ def decay_report(P: Kernel, m: Measure, V, n_grid=DEFAULT_GRID) -> DecayReport:
     w = _check_invariant(P, m)
     weight = 1.0 + state_values(P.space, V, "V", low=0.0, finite=True)
     ladders = _grid_ladders(ns, lambda n: _Ladder(power(P, n).rows))
-    norms = tuple(_gap_norm(ladder.power, w, weight) for _, ladder in ladders)
+    norms = tuple(_gap_norm(ladder.power, w, weight, ladder.spans)
+                  for _, ladder in ladders)
 
     floor = max(norms[0] * 1e-13, 1e-15)
     cut = next((i for i, b in enumerate(norms) if b <= floor), len(norms))

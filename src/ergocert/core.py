@@ -329,16 +329,17 @@ class Kernel:
             raise ValueError(f"unknown kernel kind {kind!r}")
         if on_rowsum not in ("reject", "renormalize"):
             raise ValueError("on_rowsum must be 'reject' or 'renormalize'")
+        # the one copy of rows: clipped, rescaled and frozen in place
         r = np.array(rows, dtype=float, order="C")
         n = space.size
         if r.shape != (n, n):
             raise ValueError(f"expected {(n, n)} matrix, got {r.shape}")
-        if np.isnan(r).any() or np.isinf(r).any():
+        if not np.isfinite(r).all():
             raise ValueError("kernel entries must be finite")
         if (r < -ROWSUM_TOL).any():
             i, j = np.unravel_index(np.argmin(r), r.shape)
             raise ValueError(f"negative entry {r[i, j]:.3e} at ({i}, {j})")
-        r = np.where(r < 0.0, 0.0, r)
+        r[r < 0.0] = 0.0
         sums = r.sum(axis=1)
         if kind == "markovian":
             bad = np.abs(sums - 1.0) > ROWSUM_TOL
@@ -346,7 +347,7 @@ class Kernel:
                 if on_rowsum == "renormalize":
                     if (sums[bad] <= 0.0).any():
                         raise ValueError("cannot renormalize a zero row")
-                    r = r / sums[:, None]
+                    r /= sums[:, None]
                 else:
                     i = int(np.argmax(np.abs(sums - 1.0)))
                     raise ValueError(
@@ -357,13 +358,14 @@ class Kernel:
             if bad.any():
                 if on_rowsum == "renormalize":
                     scale = np.where(sums > 1.0, sums, 1.0)
-                    r = r / scale[:, None]
+                    r /= scale[:, None]
                 else:
                     i = int(np.argmax(sums))
                     raise ValueError(
                         f"sub-markovian row {i} sums to {sums[i]!r} > 1")
+        r.setflags(write=False)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "rows", _frozen_array(r))
+        object.__setattr__(self, "rows", r)
         object.__setattr__(self, "kind", kind)
 
     @property
@@ -452,7 +454,7 @@ def _full_rows(M: np.ndarray) -> bool:
     return bool((M[:, 0] != 0.0).all() and (M[:, -1] != 0.0).all())
 
 
-def _span_product(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+def _span_product(L: np.ndarray, R: np.ndarray, spans=None):
     """L @ R, skipping the structural zeros of banded and block operands.
 
     Each panel of PANEL rows of L is multiplied only over [c0, c1), the
@@ -462,12 +464,23 @@ def _span_product(L: np.ndarray, R: np.ndarray) -> np.ndarray:
     operands (at most 2 * PANEL rows), operands whose rows all span every
     column and operands whose spanned work exceeds SPAN_SHARE of the
     dense work take a single L @ R.
+
+    spans, if given, is the pair of the operands' row spans (_row_spans),
+    either one None where the caller has not got it; it is then scanned
+    here, as it always is without spans. Returns the pair (L @ R, its row
+    spans). Those are found inside the panel blocks just computed, each
+    block scanned once, and nowhere else, since every entry outside them
+    is an exact zero; after a single L @ R they are None, for the caller
+    to scan only if it needs them.
     """
+    l_spans, r_spans = (None, None) if spans is None else spans
     n = L.shape[0]
     if n <= 2 * PANEL or (_full_rows(L) and _full_rows(R)):
-        return L @ R
-    l_first, l_last = _row_spans(L)
-    r_first, r_last = (l_first, l_last) if R is L else _row_spans(R)
+        return L @ R, None
+    l_first, l_last = _row_spans(L) if l_spans is None else l_spans
+    if r_spans is None:
+        r_spans = (l_first, l_last) if R is L else _row_spans(R)
+    r_first, r_last = r_spans
     starts = np.arange(0, n, PANEL)
     c0s = np.minimum.reduceat(l_first, starts)
     c1s = np.maximum.reduceat(l_last, starts)
@@ -483,11 +496,19 @@ def _span_product(L: np.ndarray, R: np.ndarray) -> np.ndarray:
         blocks.append((r0, r1, c0, c1, d0, d1))
         work += (r1 - r0) * (c1 - c0) * (d1 - d0)
     if work > SPAN_SHARE * n * L.shape[1] * R.shape[1]:
-        return L @ R
-    out = np.zeros((n, R.shape[1]))
+        return L @ R, None
+    width = R.shape[1]
+    out = np.zeros((n, width))
+    first = np.full(n, width)
+    last = np.zeros(n, dtype=first.dtype)
     for r0, r1, c0, c1, d0, d1 in blocks:
-        np.matmul(L[r0:r1, c0:c1], R[c0:c1, d0:d1], out=out[r0:r1, d0:d1])
-    return out
+        block = out[r0:r1, d0:d1]
+        np.matmul(L[r0:r1, c0:c1], R[c0:c1, d0:d1], out=block)
+        f, e = _row_spans(block)
+        hit = e > 0
+        first[r0:r1] = np.where(hit, f + d0, width)
+        last[r0:r1] = np.where(hit, e + d0, 0)
+    return out, (first, last)
 
 
 def _span_pushes(v: np.ndarray, M: np.ndarray, steps: int):
@@ -528,26 +549,41 @@ class _Ladder:
     Rung j holds M^(2^j) and the average A (I + M + ... + M^(2^j - 1)) / 2^j;
     climb() goes up a rung by A <- (A + A M^(2^j)) / 2. A power is squared
     by _span_product only when read, so a caller that stops at a rung never
-    pays for the next square.
+    pays for the next square. The ladder keeps the row spans of its power,
+    found by the squaring that made it, and hands them to the next
+    squaring, so no power is scanned for its spans twice.
     """
 
     def __init__(self, base: np.ndarray, rows=None):
         self.rung, self.rows = 0, rows
-        self._power, self._at = base, 0
+        self._power, self._at, self._spans = base, 0, None
 
     @property
     def power(self) -> np.ndarray:
         while self._at < self.rung:
-            self._power = _span_product(self._power, self._power)
+            self._power, self._spans = _span_product(
+                self._power, self._power, (self._spans, self._spans))
             self._at += 1
         return self._power
+
+    @property
+    def spans(self):
+        """Row spans of power (_row_spans), scanned only if no squaring
+        found them; None where _span_product would take a single dense
+        product of it (at most 2 * PANEL rows, or every row full)."""
+        p = self.power
+        if len(p) <= 2 * PANEL or _full_rows(p):
+            return None
+        if self._spans is None:
+            self._spans = _row_spans(p)
+        return self._spans
 
     def climb(self, rungs: int = 1) -> "_Ladder":
         for _ in range(rungs):
             if self.rows is not None:
                 a, p = self.rows, self.power
-                self.rows = 0.5 * (a + (_span_product(a, p) if a.ndim == 2
-                                        else a @ p))
+                self.rows = 0.5 * (a + (_span_product(a, p)[0]
+                                        if a.ndim == 2 else a @ p))
             self.rung += 1
         return self
 
@@ -569,7 +605,9 @@ def _grid_ladders(ts, fresh):
 
 
 def power(K: Kernel, n: int) -> Kernel:
-    """n-step kernel. power(K, 0) is the identity.
+    """n-step kernel. power(K, 0) is the identity and power(K, 1) is K
+    itself: a Kernel is immutable, and renormalizing leaves its rows as
+    they are.
 
     For n = q 2^k with q odd, the rungs of K's ladder fold into K^q, least
     significant bit first, and K^q climbs its own ladder k rungs. So the
@@ -581,6 +619,8 @@ def power(K: Kernel, n: int) -> Kernel:
     if n == 0:
         return Kernel(K.space, np.eye(K.size), kind=K.kind,
                       on_rowsum="renormalize")
+    if n == 1:
+        return K
     k = (n & -n).bit_length() - 1
     q = n >> k
     rungs = _Ladder(K.rows)
@@ -588,7 +628,7 @@ def power(K: Kernel, n: int) -> Kernel:
     for j in range(q.bit_length()):
         if q >> j & 1:
             odd = (rungs.power if odd is None
-                   else _span_product(odd, rungs.power))
+                   else _span_product(odd, rungs.power)[0])
         rungs.climb()
     del rungs
     return Kernel(K.space, _Ladder(odd).climb(k).power, kind=K.kind,
@@ -611,7 +651,8 @@ def cesaro(K: Kernel, n: int) -> Kernel:
         if n >> j & 1:
             b = 1 << j
             s = rungs.rows if s is None else (
-                b * rungs.rows + a * _span_product(rungs.power, s)) / (a + b)
+                b * rungs.rows
+                + a * _span_product(rungs.power, s)[0]) / (a + b)
             a += b
         if a < n:
             rungs.climb()

@@ -474,7 +474,7 @@ def diagnose_lazy_atoms(P: Kernel, spec: PerturbationSpec, C=None,
                             float(np.abs(diag[exact_cols]
                                          - lower[exact_cols]).max()))
         if n < LAZY_N_MAX:
-            pow_rows = _span_product(pow_rows, mixed.rows)
+            pow_rows = _span_product(pow_rows, mixed.rows)[0]
     loopless = np.flatnonzero(np.diagonal(P.rows) == 0.0)
     one_step = float(np.abs(np.diagonal(mixed.rows)[loopless]
                             - lazy[loopless]).max()) if loopless.size else 0.0

@@ -12,7 +12,8 @@ JSON booleans, which numpy would read as 0 and 1, are no plain numbers.
 Measures and functions carry the full label list so a file stands on
 its own; loaders accept an expected space and verify the labels
 against it. Floats that JSON cannot carry (inf, nan) are stored as
-strings and revived on read.
+strings; a statefn document admits only "inf", the one such value a
+state function holds, and revives it on read.
 """
 
 import csv
@@ -47,8 +48,9 @@ __all__ = [
 _LABELS = {"type": "array", "items": {"type": "string"}, "minItems": 1}
 _ROW = {"type": "array", "items": {"type": "number"}}
 _MATRIX = {"type": "array", "items": _ROW, "minItems": 1}
+# a state function may be +inf (extended), never -inf or nan
 _JSON_NUMBER = {"anyOf": [{"type": "number"},
-                          {"type": "string", "enum": ["inf", "-inf", "nan"]}]}
+                          {"type": "string", "enum": ["inf"]}]}
 
 SCHEMAS = {
     "kernel": {
@@ -211,12 +213,12 @@ def _validator(tag: str):
 _ENTRIES = {"kernel": "rows", "generator": "rates", "measure": "weights",
             "statefn": "values"}
 _PLAIN = frozenset((float, int))
-_NAMED = frozenset(("inf", "-inf", "nan"))
+_NAMED = frozenset(("inf",))
 
 
 def _plain(entries, tag: str) -> bool:
     """Whether every entry of one list satisfies the schema: a JSON number,
-    or in a statefn the name of a non-finite float. bool is no plain type."""
+    or in a statefn the name "inf". bool is no plain type."""
     if type(entries) is not list:
         return False
     kinds = set(map(type, entries))
@@ -275,9 +277,21 @@ def kernel_from_doc(doc: dict) -> Kernel:
     return _kernel(doc)
 
 
+def _matrix(doc: dict, tag: str, field: str) -> np.ndarray:
+    """The rows of a checked matrix document as one array; the schema
+    admits ragged rows, which are refused here by index."""
+    rows = doc[field]
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"invalid {tag} document: row {i} has "
+                             f"{len(row)} entries, expected {width}")
+    return np.array(rows, dtype=float)
+
+
 def _kernel(doc: dict) -> Kernel:
     space = StateSpace(doc["labels"])
-    return Kernel(space, np.array(doc["rows"], dtype=float),
+    return Kernel(space, _matrix(doc, "kernel", "rows"),
                   kind=doc.get("kind", "markovian"))
 
 
@@ -294,7 +308,7 @@ def generator_from_doc(doc: dict) -> Generator:
 def _generator(doc: dict) -> Generator:
     space = StateSpace(doc["labels"])
     lam = doc.get("lam")
-    return Generator(space, np.array(doc["rates"], dtype=float), lam=lam)
+    return Generator(space, _matrix(doc, "generator", "rates"), lam=lam)
 
 
 def semigroup_to_doc(S) -> dict:

@@ -188,7 +188,8 @@ def _series(G: Generator, t: float, start=None):
     tails = np.append(np.cumsum(pois[:0:-1])[::-1], 0.0)
     last = int(np.argmax(tails <= _SERIES_TAIL))
     powers = chain([np.eye(G.size)], accumulate(
-        repeat(_uniformized_step(G), last), _span_product))
+        repeat(_uniformized_step(G), last),
+        lambda a, b: _span_product(a, b)[0]))
     P = avg = 0.0
     for w, a, term in zip(pois, tails / lam_t, powers):
         P = P + w * term
@@ -282,14 +283,17 @@ def auxiliary_measure(S: Semigroup, mu: Measure, alpha: float = 1.0) -> Measure:
     its equations give sum_j x(j) slack(j) = mu(X), with slack 2 - K(j, X)
     or alpha, so mass is kept by construction. An atom of x is 0 where no
     path of K > 0 or Q > 0 leads to it from supp mu, or where it
-    underflows; then the exact support reach(supp mu) is m.support.
+    underflows; then the exact support reach(supp mu) is m.support. The
+    push subtracts nothing, so every atom it made positive is reached:
+    the search starts from those and supp mu, and walks on only where
+    atoms underflowed.
     """
     _check_same_space(mu, S)
     m = Measure(S.space, _push(S, mu.weights, alpha))
     if (m.weights <= 0.0).any():
         # reach(supp mu), one frontier of the graph at a time
         adjacency = (S.rows if isinstance(S, Kernel) else S.rates) > 0.0
-        reach = frontier = mu.weights > 0.0
+        reach = frontier = (mu.weights > 0.0) | (m.weights > 0.0)
         while frontier.any():
             frontier = adjacency[frontier].any(axis=0) & ~reach
             reach = reach | frontier

@@ -49,8 +49,10 @@ __all__ = [
 EIGEN_RESIDUAL_TOL = 1e-12
 _BLOCK = 64
 """Pivots per block of _censor. On one BLAS thread of a 2-core x86_64
-host, the ou_grid(800) class law takes 34 ms at 32 pivots, 28 ms at 64
-and 27 ms at 128; the banded birth_death(1200) law 14, 14.5 and 15.5 ms."""
+host (best of 7, two runs), the ou_grid(800) class law takes 20-21 ms at
+32 pivots, 16.5-17 ms at 64 and 16.5-17 ms at 128; one push of a Dirac
+start through it 22-23, 18-20 and 17-19 ms. The banded birth_death(1200)
+law takes 11 ms and its push 13.5-14 ms at all three widths."""
 # the envelope back-substitution scales the law down by a power of two once
 # an atom passes this, so a law that grows along the order stays finite
 _RESCALE_AT = 2.0 ** 500
@@ -108,6 +110,11 @@ def _profile(a: np.ndarray):
             np.minimum(nz.argmax(axis=0), idx))
 
 
+def _blocks(n: int):
+    """The pivot blocks [lo, hi) of _censor, from the last one down."""
+    return [(max(hi - _BLOCK, 0), hi) for hi in range(n, 0, -_BLOCK)]
+
+
 def _censor(a, first_col, first_row, exits=None) -> np.ndarray:
     """Censor the states of a from the last one down, in place (GTH).
 
@@ -121,17 +128,25 @@ def _censor(a, first_col, first_row, exits=None) -> np.ndarray:
 
     The pivots run in blocks of _BLOCK states [lo, hi), each over the
     envelope of its block: the first column c0 and the first row r0 that
-    the profile gives any of its rows and columns. Fill-in inside the
-    block stays in that envelope. Pivot k first gathers what the later
-    pivots of its block owe its row and its column, as two
-    matrix-vector products of their censored rates, and then reads them.
-    What the block owes the rows above it in the columns left of it is
-    added once, at the end of the block, as one product over that
-    rectangle: the block's columns (the rates into its states divided by
-    their exit rates) times its rows (their censored rates out). Every
-    factor is nonnegative, so each entry is the same sum of nonnegative
-    terms as pivot by pivot, in another order, and still nothing is
-    subtracted. The profile is widened to each block's envelope.
+    the profile gives any of its rows and columns. Fill-in stays in that
+    envelope. Each block's pivots run on one small work array that holds
+    the block, its exits, the strip of its rows left of it (columns
+    c0..lo) and the strip of its columns above it (rows r0..lo), and is
+    written back once the block is done. Pivot k gathers what the later
+    pivots of the block owe its row and its column, as two matrix-vector
+    products of their censored rates. A strip wider than the block
+    enters the work array as an identity, and a wide left strip also as
+    one column of its row sums, which s[k] reads in its place: the
+    pivots then build the block's transform of the strip, and its real
+    rates are multiplied through it once, at the end of the block. What
+    the block owes the rows above it in the columns left of it is added
+    once more, as one product over that rectangle: the block's columns
+    (the rates into its states divided by their exit rates) times its
+    rows (their censored rates out). Every factor is nonnegative, so
+    each entry is the same sum of nonnegative terms as pivot by pivot
+    (tests/oracles.py, censor_pivotwise), in another order, and still
+    nothing is subtracted. The profile is widened to each block's
+    envelope.
 
     Returns s. Row k of a and of exits then holds k's censored rates at
     its pivot, column k of a the rates into k divided by s[k], and the
@@ -139,22 +154,47 @@ def _censor(a, first_col, first_row, exits=None) -> np.ndarray:
     """
     n = len(a)
     s = np.empty(n)
-    for hi in range(n, 0, -_BLOCK):
-        lo = max(hi - _BLOCK, 0)
+    n_exits = 0 if exits is None else exits.shape[1]
+    for lo, hi in _blocks(n):
+        size = hi - lo
         r0 = int(first_row[lo:hi].min())
         c0 = int(first_col[lo:hi].min())
-        for k in range(hi - 1, lo - 1, -1):
-            later = a[k, k + 1:hi]
-            row = a[k, c0:k]
-            row += later @ a[k + 1:hi, c0:k]
-            s[k] = row.sum()
-            if exits is not None:
-                exits[k] += later @ exits[k + 1:hi]
-                s[k] += exits[k].sum()
-            if r0 < k:
-                col = a[r0:k, k]
-                col += a[r0:k, k + 1:hi] @ a[k + 1:hi, k]
-                col /= s[k]
+        wide, tall = lo - c0 > size, lo - r0 > size
+        left = size if wide else lo - c0
+        top = size if tall else lo - r0
+        j0 = left + n_exits + wide  # the block's first column in w
+        # rows: the strip above, then the block; columns: the strip to
+        # the left, the exits (and the wide strip's row sums), the block
+        w = np.empty((top + size, j0 + size))
+        w[top:, j0:] = a[lo:hi, lo:hi]
+        if n_exits:
+            w[top:, left:left + n_exits] = exits[lo:hi]
+        if wide:
+            w[top:, :left] = np.eye(size)
+            w[top:, j0 - 1] = a[lo:hi, c0:lo].sum(axis=1)
+        else:
+            w[top:, :left] = a[lo:hi, c0:lo]
+        w[:top, j0:] = np.eye(size) if tall else a[r0:lo, lo:hi]
+        for i in range(size - 1, -1, -1):
+            p, c = top + i, j0 + i
+            row = w[p, :c]
+            row += w[p, c + 1:] @ w[p + 1:, :c]
+            # a wide strip's identity columns hold no rates: s[k] reads
+            # its column of row sums in their place
+            s[lo + i] = exit_rate = (w[p, left:c] if wide else row).sum()
+            if p:
+                col = w[:p, c]
+                col += w[:p, c + 1:] @ w[p + 1:, c]
+                col /= exit_rate
+        a[lo:hi, lo:hi] = w[top:, j0:]
+        if n_exits:
+            exits[lo:hi] = w[top:, left:left + n_exits]
+        # a strip that entered as an identity is multiplied through the
+        # transform its identity became
+        a[lo:hi, c0:lo] = (w[top:, :left] @ a[lo:hi, c0:lo] if wide
+                           else w[top:, :left])
+        a[r0:lo, lo:hi] = (a[r0:lo, lo:hi] @ w[:top, j0:] if tall
+                           else w[:top, j0:])
         np.minimum(first_col[r0:hi], c0, out=first_col[r0:hi])
         np.minimum(first_row[c0:hi], r0, out=first_row[c0:hi])
         if r0 < lo:
@@ -171,22 +211,35 @@ def _stationary(M: np.ndarray) -> np.ndarray:
     M holds the rates of the class, a stochastic block or a generator
     block, off its diagonal; it is overwritten. _censor eliminates the
     states from the last one down, and x is back-substituted from
-    x(0) = 1 through the censored rates into each state. Nothing is
-    subtracted, so each atom carries a relative error bound that grows
-    with the size of M but not with how stiff or nearly decoupled the
-    class is (O'Cinneide, Numer. Math. 65, 1993). An atom reads 0 only
-    where the law falls below the smallest subnormal. A law that grows
-    along the order is rescaled by powers of two, so it stays finite.
+    x(0) = 1 through the censored rates into each state, one block of
+    _censor at a time: one product over the strip above the block, then
+    state by state inside it. Nothing is subtracted, so each atom
+    carries a relative error bound that grows with the size of M but not
+    with how stiff or nearly decoupled the class is (O'Cinneide, Numer.
+    Math. 65, 1993). An atom reads 0 only where the law falls below the
+    smallest subnormal. A law that grows along the order is rescaled by
+    powers of two, so it stays finite: before a block's strip product
+    the law so far is brought to at most 1, so no partial sum overflows
+    before the rescales inside the block, and inside the block it is
+    rescaled, partial sums with it, once an atom passes _RESCALE_AT.
     """
     first_col, first_row = _profile(M)
     _censor(M, first_col, first_row)
     x = np.zeros(M.shape[0])
     x[0] = 1.0
-    for k in range(1, len(x)):
-        r0 = first_row[k]
-        x[k] = x[r0:k] @ M[r0:k, k]
-        if x[k] > _RESCALE_AT:
-            x[:k + 1] = np.ldexp(x[:k + 1], -int(np.frexp(x[k])[1]))
+    for lo, hi in reversed(_blocks(len(x))):
+        r0 = first_row[lo]  # the block's envelope, as _censor left it
+        if r0 < lo:
+            # the strip's terms enter before the rescales inside the
+            # block, so the law before it is brought to at most 1 first
+            top = x[:lo].max()
+            if top > 1.0:
+                x[:lo] = np.ldexp(x[:lo], -int(np.frexp(top)[1]))
+            x[lo:hi] = x[r0:lo] @ M[r0:lo, lo:hi]
+        for k in range(max(lo, 1), hi):
+            x[k] += x[lo:k] @ M[lo:k, k]
+            if x[k] > _RESCALE_AT:
+                x[:hi] = np.ldexp(x[:hi], -int(np.frexp(x[k])[1]))
     return x / x.sum()
 
 
@@ -196,19 +249,30 @@ def _resolvent_push(rates, slack, mu) -> np.ndarray:
     row, and x has its shape. _censor takes the slack as the one exit,
     so every pivot is a sum of nonnegative terms; mu is folded down
     through the censored rows, and x back-substituted up through the
-    censored columns. Nothing is subtracted, so each atom of x is
-    accurate relative to its size (Alfa, Xue and Ye, Numer. Math. 90,
-    2002), and the equations summed give sum_j x(j) slack(j) = mu(X).
+    censored columns, one block of _censor at a time: state by state
+    inside the block, and one product over its strip. Nothing is
+    subtracted, so each atom of x is accurate relative to its size
+    (Alfa, Xue and Ye, Numer. Math. 90, 2002), and the equations summed
+    give sum_j x(j) slack(j) = mu(X).
     """
     a = np.array(rates, dtype=float)
     first_col, first_row = _profile(a)
     s = _censor(a, first_col, first_row, np.array(slack, float)[:, None])
     x = np.array(np.transpose(mu), dtype=float, order="C")
-    for k in range(len(a) - 1, -1, -1):
-        x[k] /= s[k]
-        x[first_col[k]:k] += np.multiply.outer(a[k, first_col[k]:k], x[k])
-    for k in range(1, len(a)):
-        x[k] += a[first_row[k]:k, k] @ x[first_row[k]:k]
+    blocks = _blocks(len(a))
+    for lo, hi in blocks:
+        for k in range(hi - 1, lo - 1, -1):
+            x[k] /= s[k]
+            x[lo:k] += np.multiply.outer(a[k, lo:k], x[k])
+        c0 = first_col[lo]  # the block's envelope, as _censor left it
+        if c0 < lo:
+            x[c0:lo] += a[lo:hi, c0:lo].T @ x[lo:hi]
+    for lo, hi in reversed(blocks):
+        r0 = first_row[lo]
+        if r0 < lo:
+            x[lo:hi] += a[r0:lo, lo:hi].T @ x[r0:lo]
+        for k in range(lo + 1, hi):
+            x[k] += a[lo:k, k] @ x[lo:k]
     return x.T
 
 
@@ -220,8 +284,10 @@ def _absorb(A, states, targets, killed=None) -> np.ndarray:
     one absorbing, and killed, if given, is each state's rate of mass
     that dies. _censor eliminates the states from the last one down, and
     h is back-substituted from the first one up, each row its censored
-    rates into h plus its exits, over its exit rate. Every state must
-    reach a target or lose mass. Returns one column per target set.
+    rates into h plus its exits, over its exit rate: one block of
+    _censor at a time, one product over the strip left of the block and
+    state by state inside it. Every state must reach a target or lose
+    mass. Returns one column per target set.
     """
     a = A[np.ix_(states, states)]
     exits = [A[np.ix_(states, idx)].sum(axis=1) for idx in targets]
@@ -230,10 +296,14 @@ def _absorb(A, states, targets, killed=None) -> np.ndarray:
     exits = np.stack(exits, axis=1)
     first_col, first_row = _profile(a)
     s = _censor(a, first_col, first_row, exits)
-    h = np.zeros_like(exits)
-    for k in range(len(a)):
-        c0 = first_col[k]
-        h[k] = (a[k, c0:k] @ h[c0:k] + exits[k]) / s[k]
+    h = exits  # each row becomes its weights at its turn
+    for lo, hi in reversed(_blocks(len(a))):
+        c0 = first_col[lo]  # the block's envelope, as _censor left it
+        if c0 < lo:
+            h[lo:hi] += a[lo:hi, c0:lo] @ h[c0:lo]
+        for k in range(lo, hi):
+            h[k] += a[k, lo:k] @ h[lo:k]
+            h[k] /= s[k]
     return h[:, :len(targets)]
 
 

@@ -14,6 +14,8 @@ depth-first search of a graph that support decisions are held to.
 check_projector holds a decomposition to the identities of its limit
 projector. rational_push is the exact resolvent push that
 solver._resolvent_push is held to, and push_spy counts the pushes.
+censor_pivotwise is the elimination that solver._censor blocks, one
+pivot at a time.
 """
 
 from fractions import Fraction
@@ -127,14 +129,15 @@ def product_spy(monkeypatch, dense=False):
     The spy sits at core._span_product, the name the doubling ladder
     looks the product up by, and at semigroup._span_product, the name the
     uniformization series imports. With dense=True each product is L @ R,
-    the oracle that the spanned products must match.
+    the oracle that the spanned products must match, with None for its
+    spans, as after any single dense product.
     """
     calls = []
     spanned = core._span_product
 
-    def spy(L, R):
+    def spy(L, R, spans=None):
         calls.append(L.shape)
-        return L @ R if dense else spanned(L, R)
+        return (L @ R, None) if dense else spanned(L, R, spans)
 
     for module in (core, semigroup):
         monkeypatch.setattr(module, "_span_product", spy)
@@ -252,3 +255,43 @@ def rational_push(rates, slack, mu):
             x[c][k] = (t[k][n + c] - sum(t[k][j] * x[c][j]
                                          for j in range(k + 1, n))) / t[k][k]
     return x if np.ndim(mu) == 2 else x[0]
+
+
+def censor_pivotwise(a, first_col, first_row, exits=None):
+    """solver._censor with each block's strips in place, pivot by pivot.
+
+    The same GTH elimination over the same block envelopes: pivot k
+    gathers what the later pivots of its block owe its row and its
+    column straight from a, over the full width of its strips, and the
+    block's debt to the rows above it is one product at the end of the
+    block. Every entry is a sum of nonnegative terms, so the blocked
+    elimination may differ from it only by rounding, a few ulps relative
+    in each entry. Returns s, and leaves a, exits and the profile as
+    solver._censor does.
+    """
+    n = len(a)
+    s = np.empty(n)
+    for hi in range(n, 0, -solver._BLOCK):
+        lo = max(hi - solver._BLOCK, 0)
+        r0 = int(first_row[lo:hi].min())
+        c0 = int(first_col[lo:hi].min())
+        for k in range(hi - 1, lo - 1, -1):
+            later = a[k, k + 1:hi]
+            row = a[k, c0:k]
+            row += later @ a[k + 1:hi, c0:k]
+            s[k] = row.sum()
+            if exits is not None:
+                exits[k] += later @ exits[k + 1:hi]
+                s[k] += exits[k].sum()
+            if r0 < k:
+                col = a[r0:k, k]
+                col += a[r0:k, k + 1:hi] @ a[k + 1:hi, k]
+                col /= s[k]
+        np.minimum(first_col[r0:hi], c0, out=first_col[r0:hi])
+        np.minimum(first_row[c0:hi], r0, out=first_row[c0:hi])
+        if r0 < lo:
+            if c0 < lo:
+                a[r0:lo, c0:lo] += a[r0:lo, lo:hi] @ a[lo:hi, c0:lo]
+            if exits is not None:
+                exits[r0:lo] += a[r0:lo, lo:hi] @ exits[lo:hi]
+    return s

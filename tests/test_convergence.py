@@ -5,8 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ergocert import convergence
-from ergocert.core import Kernel, Measure, StateFn, StateSpace
-from ergocert.scenarios import birth_death, block_chain
+from ergocert.core import (PANEL, Kernel, Measure, StateFn, StateSpace,
+                           _row_spans)
+from ergocert.scenarios import birth_death, block_chain, lazy_cycle, ou_grid
 from ergocert.semigroup import last_row, mean_rows
 from ergocert.solver import solve_eigen
 from ergocert.convergence import (
@@ -129,11 +130,20 @@ class TestDecayReport:
         decay_report(K, m, np.zeros(20))
         assert len(calls) <= 1
 
-    @pytest.mark.parametrize("case", ["birth_death", "block_chain"])
+    @pytest.mark.parametrize("case", ["birth_death", "block_chain",
+                                      "lazy_cycle", "ou_grid"])
     def test_dense_products_agree(self, case, monkeypatch):
-        if case == "birth_death":
-            bundle = birth_death(600, 0.7)
+        # the spanned ladder sums each norm over the column hulls of its
+        # panels (lazy_cycle: the corner entry makes the last hull full),
+        # the dense oracle carries no spans and sums every entry; ou_grid
+        # has full rows and takes the dense norm either way
+        if case in ("birth_death", "ou_grid"):
+            bundle = (birth_death(600, 0.7) if case == "birth_death"
+                      else ou_grid(300))
             K, m, V = bundle.kernel, bundle.m, bundle.V
+        elif case == "lazy_cycle":
+            bundle = lazy_cycle(600)
+            K, m, V = bundle.kernel, bundle.m, np.zeros(600)
         else:
             K = block_chain(k=4, block_size=150).kernel
             laws = sum(r.nu.normalized().weights for r in solve_eigen(K))
@@ -143,6 +153,18 @@ class TestDecayReport:
         dense = decay_report(K, m, V)
         assert products  # the ladder squared through the dense oracle
         assert_allclose(spanned.norms, dense.norms, rtol=1e-12, atol=0.0)
+
+    def test_hull_norm_matches_the_dense_norm(self):
+        # zero rows and a zero panel take the hull path's empty hull
+        rows = convergence.power(birth_death(600, 0.7).kernel, 8).rows.copy()
+        rows[:PANEL] = 0.0
+        rows[300] = 0.0
+        rng = np.random.default_rng(3)
+        w, weight = rng.random(600), 1.0 + rng.random(600)
+        spans = _row_spans(rows)
+        assert_allclose(convergence._gap_norm(rows, w, weight, spans),
+                        convergence._gap_norm(rows, w, weight),
+                        rtol=1e-13, atol=0.0)
 
     def test_grid_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -269,7 +269,7 @@ class TestSpanProduct:
     @staticmethod
     def check(L, R):
         dense = L @ R
-        spanned = core._span_product(L, R)
+        spanned, _ = core._span_product(L, R)
         assert spanned.shape == dense.shape
         assert np.abs(spanned - dense).max() <= 1e-14 * np.abs(dense).max()
         structural = ((L != 0.0).astype(float) @ (R != 0.0)) == 0.0
@@ -310,7 +310,7 @@ class TestSpanProduct:
 
     def test_zero_matrix(self):
         Z = np.zeros((600, 600))
-        assert (core._span_product(Z, Z) == 0.0).all()
+        assert (core._span_product(Z, Z)[0] == 0.0).all()
 
     def test_sub_markovian_kernel(self, panels):
         killing = np.linspace(1.0, 0.5, 600)[:, None]
@@ -322,14 +322,14 @@ class TestSpanProduct:
     def test_small_operands_take_one_dense_product(self, panels):
         n = 2 * PANEL
         L = power(birth_death(n, 0.7).kernel, 4).rows
-        assert np.array_equal(core._span_product(L, L), L @ L)
+        assert np.array_equal(core._span_product(L, L)[0], L @ L)
         assert not panels
 
     def test_full_rows_take_one_dense_product(self, panels, monkeypatch):
         K = ou_grid(300).kernel.rows
         # the first and last column show every row is full: no span scan
         monkeypatch.setattr(core, "_row_spans", None)
-        assert np.array_equal(core._span_product(K, K), K @ K)
+        assert np.array_equal(core._span_product(K, K)[0], K @ K)
         assert not panels
 
     def test_one_full_row_operand_still_scans_the_other(self, panels):
@@ -338,6 +338,61 @@ class TestSpanProduct:
         R[:, :40] = L[:, :40]   # every row of R ends at column 40
         self.check(L, R)
         assert panels
+
+
+class TestCarriedSpans:
+    """The row spans that the ladder carries up from its squarings."""
+
+    @pytest.mark.parametrize("K", [
+        birth_death(600, 0.7).kernel.rows,
+        lazy_cycle(600).kernel.rows,
+        block_chain(k=4, block_size=150).kernel.rows,
+    ], ids=["birth_death", "lazy_cycle", "block_chain"])
+    def test_spans_equal_a_fresh_scan(self, K, monkeypatch):
+        scans = []
+        real = core._row_spans
+
+        def counting(M):
+            scans.append(M.shape)
+            return real(M)
+
+        ladder = core._Ladder(K)
+        fresh = [real(K)]
+        for _ in range(8):
+            ladder.climb()
+            fresh.append(real(ladder.power))
+        ladder = core._Ladder(K)
+        monkeypatch.setattr(core, "_row_spans", counting)
+        for want in fresh:
+            spans = ladder.spans
+            if spans is None:  # every row of the power is full
+                assert core._full_rows(ladder.power)
+            else:
+                assert np.array_equal(spans[0], want[0])
+                assert np.array_equal(spans[1], want[1])
+            ladder.climb()
+        # only the base was scanned whole; each square found its spans in
+        # the panel blocks it had just computed
+        assert scans[0] == K.shape
+        assert len(scans) == 1 + 8 * len(range(0, len(K), PANEL))
+        assert all(rows <= PANEL for rows, _ in scans[1:])
+
+    def test_product_spans_match_a_scan(self):
+        L = power(birth_death(600, 0.7).kernel, 8).rows.copy()
+        R = L.copy()
+        L[:PANEL] = 0.0
+        L[300] = 0.0
+        R[:, 500] = 0.0
+        out, spans = core._span_product(L, R)
+        want = core._row_spans(out)
+        assert np.array_equal(spans[0], want[0])
+        assert np.array_equal(spans[1], want[1])
+
+    def test_dense_product_gives_no_spans(self):
+        K = ou_grid(300).kernel.rows
+        out, spans = core._span_product(K, K)
+        assert spans is None
+        assert np.array_equal(out, K @ K)
 
 
 class TestLadderProducts:
@@ -357,7 +412,7 @@ class TestLadderProducts:
         for n in (3, 5, 6, 12):
             Pn = power(K, n).rows
             assert np.array_equal(power(K, 2 * n).rows,
-                                  core._span_product(Pn, Pn))
+                                  core._span_product(Pn, Pn)[0])
 
     def test_cesaro(self, monkeypatch):
         K = birth_death(300, 0.7).kernel

@@ -34,7 +34,8 @@ from ergocert.semigroup import (
 from ergocert.scenarios import (absorbing_pair, birth_death, block_chain,
                                 lazy_cycle, ou_grid)
 from ergocert.solver import solve_continuous
-from oracles import expm_flow, product_spy, push_spy, rational_push
+from oracles import (expm_flow, product_spy, push_spy, rational_push,
+                     reachable)
 from test_certificates import faint_kernel
 from test_solver import stiff_generators
 
@@ -253,6 +254,25 @@ class TestAuxiliaryMeasure:
         assert_array_equal(m.support, [0, 1, 2])
         K = Kernel(S2, [[0.0, 1.0], [0.0, 1.0]])
         assert_array_equal(auxiliary_measure(K, dirac(S2, 1)).support, [1])
+
+    def test_support_is_the_reach_of_the_start(self):
+        # faint edges leave atoms below the float range; the search from
+        # the atoms the push made positive must reach exactly the states
+        # a plain search from the start reaches
+        rng = np.random.default_rng(31)
+        underflowed = 0
+        for _ in range(100):
+            K = faint_kernel(rng)
+            for start in range(K.size):
+                m = auxiliary_measure(K, dirac(K.space, start))
+                reach = reachable(K.rows, [start])
+                assert set(m.support.tolist()) == reach
+                underflowed += np.count_nonzero(m.weights) < len(reach)
+        assert underflowed
+        K = birth_death(1200, 0.7).kernel
+        m = auxiliary_measure(K, dirac(K.space, 0))
+        assert np.count_nonzero(m.weights) < 1200
+        assert set(m.support.tolist()) == reachable(K.rows, [0])
 
     def test_general_kernel_past_row_sum_two_is_rejected(self):
         # I - K/2 is no M-matrix once a row sum reaches 2: the push turns

@@ -21,8 +21,8 @@ from ergocert.solver import (
     solve_eigen,
     verify_count_bound,
 )
-from oracles import (cesaro_doubling, check_projector, gth_stationary,
-                     product_spy, push_spy)
+from oracles import (censor_pivotwise, cesaro_doubling, check_projector,
+                     gth_stationary, product_spy, push_spy)
 
 S2 = StateSpace.range(2)
 S3 = StateSpace.range(3)
@@ -416,6 +416,132 @@ class TestEnvelopeClassLaw:
         (law,) = d.class_measures
         ref = gth_stationary(K.rows - np.eye(K.size))
         assert np.abs(law.weights / ref - 1.0).max() <= 1e-12
+
+
+# a few ulps relative: the blocked elimination sums the same
+# nonnegative terms as the pivotwise one, in another order
+ULPS = 64 * np.finfo(float).eps
+
+
+def assert_ulps(got, want):
+    scale = np.maximum(np.abs(got), np.abs(want))
+    gap = np.abs(got - want)
+    assert (gap <= ULPS * scale).all(), (gap / np.where(scale, scale, 1)).max()
+
+
+def law_pivotwise(M):
+    """The class law of M from oracles.censor_pivotwise, back-substituted
+    state by state and rescaled by a power of two once an atom passes
+    solver._RESCALE_AT."""
+    a = np.array(M, dtype=float)
+    first_col, first_row = solver._profile(a)
+    censor_pivotwise(a, first_col, first_row)
+    x = np.zeros(len(a))
+    x[0] = 1.0
+    for k in range(1, len(a)):
+        x[k] = x[first_row[k]:k] @ a[first_row[k]:k, k]
+        if x[k] > solver._RESCALE_AT:
+            x[:k + 1] = np.ldexp(x[:k + 1], -int(np.frexp(x[k])[1]))
+    return x / x.sum()
+
+
+def push_pivotwise(rates, slack, mu):
+    """The resolvent push from oracles.censor_pivotwise, folded down and
+    back-substituted up state by state."""
+    a = np.array(rates, dtype=float)
+    first_col, first_row = solver._profile(a)
+    s = censor_pivotwise(a, first_col, first_row,
+                         np.array(slack, float)[:, None])
+    x = np.array(np.transpose(mu), dtype=float, order="C")
+    for k in range(len(a) - 1, -1, -1):
+        x[k] /= s[k]
+        x[first_col[k]:k] += np.multiply.outer(a[k, first_col[k]:k], x[k])
+    for k in range(1, len(a)):
+        x[k] += a[first_row[k]:k, k] @ x[first_row[k]:k]
+    return x.T
+
+
+BLOCKED_CASES = {
+    # dense: every strip is wider than the block and enters as an identity
+    "ou_grid": lambda: ou_grid(300).kernel,
+    # banded: every strip is narrower than the block
+    "birth_death": lambda: birth_death(300, 0.7).kernel,
+    # the corner entries widen the last strips to the whole kernel
+    "lazy_cycle": lambda: lazy_cycle(300).kernel,
+    "block_chain": lambda: block_chain(k=4, block_size=80).kernel,
+}
+
+
+class TestBlockedElimination:
+    """solver._censor, its pivots run on one work array per block, held
+    entrywise to oracles.censor_pivotwise on kernels wider than two
+    blocks; so are the class laws and the pushes built on it."""
+
+    # block_chain is reducible: without an exit its censored blocks would
+    # leave states with no rate out, so it runs as a push only
+    @pytest.mark.parametrize("case, exit", [
+        *((case, False) for case in BLOCKED_CASES if case != "block_chain"),
+        *((case, True) for case in BLOCKED_CASES)],
+        ids=lambda v: {False: "law", True: "push"}.get(v, v))
+    def test_censored_entries(self, case, exit):
+        K = BLOCKED_CASES[case]()
+        assert K.size > 2 * solver._BLOCK
+        out = []
+        for censor in (solver._censor, censor_pivotwise):
+            a = np.array(K.rows)
+            first_col, first_row = solver._profile(a)
+            exits = (2.0 - K.rows.sum(axis=1))[:, None] if exit else None
+            s = censor(a, first_col, first_row, exits)
+            np.fill_diagonal(a, 0.0)  # never read
+            out.append((a, s, exits, first_col, first_row))
+        (a, s, exits, first_col, first_row), want = out
+        assert_ulps(a, want[0])
+        assert_ulps(s, want[1])
+        if exit:
+            assert_ulps(exits, want[2])
+        assert_array_equal(first_col, want[3])
+        assert_array_equal(first_row, want[4])
+
+    @pytest.mark.parametrize("case", BLOCKED_CASES)
+    def test_class_laws(self, case):
+        K = BLOCKED_CASES[case]()
+        d = decompose(K)
+        assert d.n_classes
+        for cls, law in zip(d.classes, d.class_measures):
+            idx = list(cls.members)
+            assert_ulps(law.weights[idx],
+                        law_pivotwise(K.rows[np.ix_(idx, idx)]))
+
+    def test_strip_into_a_stiff_state_stays_finite(self):
+        # a birth-death chain whose law grows by 2^7 per state up to the
+        # first state of the block [72, 136), flat after it, plus an edge
+        # from state 71 straight into state 100, whose exit rates are
+        # 1e-160: the censored rate 71 -> 100 is about 2^529, and the law
+        # before the block passes 2^496
+        n = 200
+        lo = n - 2 * solver._BLOCK
+        up = np.where(np.arange(n - 1) < lo, 0.5, 0.25)
+        down = np.where(np.arange(1, n) <= lo, 0.5 / 128, 0.25)
+        up[100] = down[99] = 1e-160  # the rates 100 -> 101 and 100 -> 99
+        rows = np.diag(up, 1) + np.diag(down, -1)
+        rows[lo - 1, 100] = 0.25
+        np.fill_diagonal(rows, 1.0 - rows.sum(axis=1))
+        (law,) = decompose(Kernel(StateSpace.range(n), rows)).class_measures
+        want = law_pivotwise(rows)
+        assert np.isfinite(law.weights).all()
+        assert want[100] > 0.5 and want[0] < 1e-300
+        normal = want >= np.finfo(float).tiny
+        assert_ulps(law.weights[normal], want[normal])
+
+    @pytest.mark.parametrize("case", BLOCKED_CASES)
+    def test_push_of_a_stack(self, case):
+        K = BLOCKED_CASES[case]()
+        n = K.size
+        slack = 2.0 - K.rows.sum(axis=1)
+        rng = np.random.default_rng(5)
+        for mu in (np.eye(n), rng.random((3, n)), rng.random(n)):
+            assert_ulps(solver._resolvent_push(K.rows, slack, mu),
+                        push_pivotwise(K.rows, slack, mu))
 
 
 def sparse_cycle_kernel(rng, n):
