@@ -130,11 +130,6 @@ class _CertifyContext:
             raise UsageError("this condition needs a kernel, not a generator")
         return self.system
 
-    def generator(self):
-        if not isinstance(self.system, Generator):
-            raise UsageError("this condition needs a generator")
-        return self.system
-
     def measure(self):
         return _load_measure(self.args, self.system.space)
 

@@ -1,26 +1,28 @@
-"""Invariant measures: one ergodic decomposition, exact eigen solves and
-the constructive Cesaro limit.
+"""Invariant measures: one ergodic decomposition and the constructive
+Cesaro limit read off it.
 
-decompose alone finds closed classes, their laws and their absorption
-weights, for kernels and generators alike. Both come from one
-elimination, blocked Grassmann-Taksar-Heyman censoring over the envelope
-of the rate block (_censor): no step subtracts, so every atom of a law
-is accurate relative to its own size. _absorb, the one absorption
-builder, censors a set of states with target sets and killed mass as
-absorbing targets. _resolvent_push, the third user, pushes measures
-through every resolvent, 2I - K or alpha I - Q, with the row slack as
-the one absorbing target. Every limit is one product, absorption
-weights times the stacked class laws: Pi = H L, and m Pi = (m H) L.
-solve_eigen enumerates every invariant probability (one per closed
-class that keeps its mass), regardless of any reference measure.
-solve_cesaro_adjoint starts from a reference measure m and produces the
-largest invariant measure absolutely continuous w.r.t. m, which is
-legitimately the zero measure when no mass survives inside supp(m). It
-reads the limit of the Cesaro averages of m under K killed outside
-supp(m) off the same decomposition: the closed classes inside supp(m),
-weighted by m's absorption into each. The dense projector identities
-are a test oracle (tests/oracles.py, check_projector), not a run-time
-check.
+decompose alone finds closed classes, their laws, the l1 residuals of
+those laws and their absorption weights, for kernels and generators
+alike. Both come from one elimination, blocked Grassmann-Taksar-Heyman
+censoring over the envelope of the rate block (_censor): no step
+subtracts, so every atom of a law is accurate relative to its own size.
+_absorb, the one absorption builder, censors a set of states with
+target sets and killed mass as absorbing targets. _resolvent_push, the
+third user, pushes measures through every resolvent, 2I - K or
+alpha I - Q, with the row slack as the one absorbing target. Every limit
+is one product, absorption weights times the stacked class laws:
+Pi = H L, and m Pi = (m H) L. solve_eigen and solve_continuous list
+every invariant probability (one per closed class that keeps its mass)
+of a kernel or a generator, regardless of any reference measure, as
+decompose left them. solve_cesaro_adjoint starts from a reference
+measure m and produces the largest invariant measure absolutely
+continuous w.r.t. m, which is legitimately the zero measure when no
+mass survives inside supp(m). It reads the limit of the Cesaro averages
+of m under K killed outside supp(m) off the same decomposition: the
+closed classes inside supp(m), weighted by m's absorption into each.
+The dense projector identities and the resolvent fixedness of the class
+laws are test oracles (tests/oracles.py, check_projector and
+check_resolvent_fixed), not run-time checks.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ class ErgodicDecomposition:
     class_measures: tuple   # tuple[Measure], probabilities
     transient: StateSet
     absorption: np.ndarray  # (n_states, n_classes), rows sum to at most 1
+    residuals: tuple        # tuple[float], |x M|_1 of each class law
 
     @property
     def n_classes(self) -> int:
@@ -419,18 +422,21 @@ def decompose(S) -> ErgodicDecomposition:
     plus transient states, read in rate form M = P - I or M = Q.
 
     M is never formed whole. Each closed class of the graph P > 0 or
-    Q > 0 gets its law from x M = 0 on its block, checked to
-    EIGEN_RESIDUAL_TOL in l1 against x M / lam, where lam is 1 for a
-    kernel and the uniformization rate of a generator (1 if it has no
-    rates). The law comes from _stationary, blocked GTH censoring with
-    an entrywise relative error bound. A sub-markovian class whose rows
-    miss one leaks and counts as transient. Absorption weights solve
-    -M_tt h = M_tc 1 by the same censoring (_absorb), with each class,
-    and the mass a sub-markovian kernel loses, as an absorbing target:
-    each pivot is the sum of the state's outflows, never 1 - P(x, x), so
-    a slow leak keeps every row of weights at mass one to rounding. The
-    projector identities that these weights and laws satisfy are held to
-    in the tests (oracles.check_projector), not checked here.
+    Q > 0 gets its law from x M = 0 on its block, by _stationary,
+    blocked GTH censoring with an entrywise relative error bound. Its
+    residual |x M|_1, one product over the whole space, is kept in
+    residuals and checked to EIGEN_RESIDUAL_TOL against lam, which is 1
+    for a kernel and the uniformization rate of a generator (1 if it has
+    no rates). A sub-markovian class whose rows miss one leaks and
+    counts as transient. Absorption weights solve -M_tt h = M_tc 1 by the
+    same censoring (_absorb), with each class, and the mass a
+    sub-markovian kernel loses, as an absorbing target: each pivot is the
+    sum of the state's outflows, never 1 - P(x, x), so a slow leak keeps
+    every row of weights at mass one to rounding. The projector
+    identities that these weights and laws satisfy, and the resolvent
+    fixedness of a generator's laws, are held to in the tests
+    (oracles.check_projector, oracles.check_resolvent_fixed), not
+    checked here.
 
     Inside one run_pipeline call the decomposition of a system object is
     built once and shared by every stage that asks for it. Outside a run
@@ -452,6 +458,7 @@ def _build_decomposition(S, A, shift, lam, sub) -> ErgodicDecomposition:
     n_comp, labels = _strong_components(adjacency)
     classes = []
     laws = []
+    residuals = []
     in_class = np.zeros(n, dtype=bool)
     for c in range(n_comp):
         mask = labels == c
@@ -463,13 +470,14 @@ def _build_decomposition(S, A, shift, lam, sub) -> ErgodicDecomposition:
         in_class[idx] = True
         w = np.zeros(n)
         w[idx] = _stationary(A[np.ix_(idx, idx)])
-        residual = np.abs((w @ A - shift * w) / lam).sum()
-        if residual > EIGEN_RESIDUAL_TOL:
+        residual = float(np.abs(w @ A - shift * w).sum())
+        if residual / lam > EIGEN_RESIDUAL_TOL:
             raise ArithmeticError(
-                f"stationary solve residual {residual:.3e} exceeds "
+                f"stationary solve residual {residual / lam:.3e} exceeds "
                 f"{EIGEN_RESIDUAL_TOL}")
         classes.append(idx)
         laws.append(w)
+        residuals.append(residual)
     if not classes and not sub:
         raise AssertionError("a finite markovian kernel or generator always "
                              "has a closed class")
@@ -491,6 +499,7 @@ def _build_decomposition(S, A, shift, lam, sub) -> ErgodicDecomposition:
         class_measures=tuple(Measure(S.space, w) for w in laws),
         transient=StateSet(S.space, transient),
         absorption=absorption,
+        residuals=tuple(residuals),
     )
 
 
@@ -503,17 +512,23 @@ def averaging_projector(S) -> np.ndarray:
     return decompose(S).projector()
 
 
-def solve_eigen(K: Kernel) -> tuple[InvariantResult, ...]:
-    """One invariant probability per closed class, by direct solves."""
-    decomp = decompose(K)
-    out = []
-    for cls, nu in zip(decomp.classes, decomp.class_measures):
-        residual = float(np.abs(nu.weights @ K.rows - nu.weights).sum())
-        out.append(InvariantResult(
-            nu=nu, density=None, residual=residual, method="eigen",
+def _class_results(S, method: str) -> tuple[InvariantResult, ...]:
+    """One invariant probability per closed class of S, with its residual
+    |nu M|_1, as decompose left them."""
+    decomp = decompose(S)
+    return tuple(
+        InvariantResult(
+            nu=nu, density=None, residual=residual, method=method,
             iterations=0, converged=True,
-            diagnostics={"class_members": list(cls.members)}))
-    return tuple(out)
+            diagnostics={"class_members": list(cls.members)})
+        for cls, nu, residual in zip(decomp.classes, decomp.class_measures,
+                                     decomp.residuals))
+
+
+def solve_eigen(K: Kernel) -> tuple[InvariantResult, ...]:
+    """One invariant probability per closed class of a kernel, read off
+    decompose: its GTH class law and residual |nu K - nu|_1."""
+    return _class_results(K, "eigen")
 
 
 def solve_cesaro_adjoint(K: Kernel, m: Measure) -> InvariantResult:
@@ -585,30 +600,12 @@ def solve_cesaro_adjoint(K: Kernel, m: Measure) -> InvariantResult:
 
 def solve_continuous(G: Generator) -> tuple[InvariantResult, ...]:
     """Invariant probabilities of a generator, one per closed rate class,
-    from decompose. Each candidate nu must be fixed by alpha R_alpha, for
-    alpha in {1/2, 1, 2}, within 1e-10 in l1. A closed class c makes
-    alpha I - Q block-triangular, so nu R_alpha is the resolvent push of
-    nu on the class block alone, with slack alpha.
-    """
-    decomp = decompose(G)
-    out = []
-    for cls, nu in zip(decomp.classes, decomp.class_measures):
-        w = nu.weights
-        residual = float(np.abs(w @ G.rates).sum())
-        idx = list(cls.members)
-        qc, wc = G.rates[np.ix_(idx, idx)], w[idx]
-        for a in (0.5, 1.0, 2.0):
-            pushed = _resolvent_push(qc, np.full(len(idx), a), wc)
-            drift = float(np.abs(a * pushed - wc).sum())
-            if drift > 1e-10:
-                raise ArithmeticError(
-                    f"candidate not fixed by the resolvent kernel "
-                    f"(drift {drift:.3e})")
-        out.append(InvariantResult(
-            nu=nu, density=None, residual=residual, method="generator-eigen",
-            iterations=0, converged=True,
-            diagnostics={"class_members": [int(i) for i in cls.members]}))
-    return tuple(out)
+    read off decompose: its GTH class law and residual |nu Q|_1. Each law
+    is fixed by every alpha R_alpha up to |nu Q|_1 / alpha in l1, since
+    nu alpha R_alpha - nu = nu Q R_alpha and R_alpha >= 0 has row sums
+    1 / alpha; the tests push it through the resolvent
+    (oracles.check_resolvent_fixed)."""
+    return _class_results(G, "generator-eigen")
 
 
 def verify_count_bound(K: Kernel, m: Measure, phi, delta: float) -> dict:

@@ -12,8 +12,10 @@ one a plain L @ R. expm_flow is the matrix-exponential reference for a
 generator's transition and time average. reachable is the plain
 depth-first search of a graph that support decisions are held to.
 check_projector holds a decomposition to the identities of its limit
-projector. rational_push is the exact resolvent push that
-solver._resolvent_push is held to, and push_spy counts the pushes.
+projector, and check_resolvent_fixed holds the class laws of a
+generator to being fixed by its resolvents. rational_push is the exact
+resolvent push that solver._resolvent_push is held to, and push_spy
+counts the pushes.
 censor_pivotwise is the elimination that solver._censor blocks, one
 pivot at a time.
 """
@@ -147,8 +149,8 @@ def product_spy(monkeypatch, dense=False):
 def push_spy(monkeypatch):
     """Record (rates shape, mu shape) of every resolvent push.
 
-    The spy sits at solver._resolvent_push, which solve_continuous looks
-    up by name and semigroup imports each time it pushes.
+    The spy sits at solver._resolvent_push, which semigroup imports each
+    time it pushes and check_resolvent_fixed looks up by name.
     """
     calls = []
     real = solver._resolvent_push
@@ -222,6 +224,25 @@ def check_projector(decomp, S, tol=1e-10):
         assert err <= tol, f"projector identity {name} off by {err:.3e}"
     err = np.abs(pi.sum(axis=1) - 1.0).max()
     assert sub or err <= tol, f"projector rows miss mass one by {err:.3e}"
+
+
+def check_resolvent_fixed(decomp, G, tol=1e-10):
+    """Assert that alpha R_alpha fixes each class law of decomp.
+
+    For alpha in {1/2, 1, 2}, |nu alpha R_alpha - nu|_1 <= tol for every
+    class law nu of the generator G. A closed class makes alpha I - Q
+    block-triangular, so nu R_alpha is the resolvent push of nu on the
+    class block alone, with slack alpha.
+    """
+    for cls, nu in zip(decomp.classes, decomp.class_measures):
+        idx = list(cls.members)
+        qc, wc = G.rates[np.ix_(idx, idx)], nu.weights[idx]
+        for a in (0.5, 1.0, 2.0):
+            pushed = solver._resolvent_push(qc, np.full(len(idx), a), wc)
+            drift = float(np.abs(a * pushed - wc).sum())
+            assert drift <= tol, (
+                f"class law not fixed by the resolvent kernel at alpha {a} "
+                f"(drift {drift:.3e})")
 
 
 def rational_push(rates, slack, mu):

@@ -189,6 +189,126 @@ class TestCertify:
         assert "not both" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def bundles(tmp_path_factory):
+    """Bundled scenario files: birth_death (n 10, p_down 0.7) in bd/, with
+    V(x) = x / 0.4 and C = {s0}, and ou_grid (n 21) in ou/, with
+    V = x^2, the central window as C, and 1 + V as lyapunov1.json."""
+    root = tmp_path_factory.mktemp("bundles")
+    for name, scenario, params in (("bd", "birth_death",
+                                    '{"n": 10, "p_down": 0.7}'),
+                                   ("ou", "ou_grid", '{"n": 21}')):
+        assert main(["gen", "--scenario", scenario, "--params", params,
+                     "--out-dir", str(root / name)]) == 0
+    V = eio._load(root / "ou" / "lyapunov.json", "statefn",
+                  eio._load(root / "ou" / "kernel.json", "kernel").space)
+    eio.save_document(eio.statefn_to_doc(StateFn(V.space, V.values + 1.0)),
+                      root / "ou" / "lyapunov1.json")
+    return root
+
+
+# condition: (bundle, files, params, verdict); the bundle's kernel is read
+# with every file it names as the flag of the same name
+CERTIFY_CASES = {
+    "smallness": ("ou", ("set",), {}, "holds"),
+    # PV <= V / 2 + 1 and the sub-level set [V <= 5] is minorized
+    "geometric-drift": ("ou", ("lyapunov",), {"gamma": 0.5, "b": 1.0,
+                                              "r": 5.0}, "holds"),
+    "localized-drift": ("ou", ("lyapunov1", "set"), {"gamma": 0.7,
+                                                     "b": 2.0}, "holds"),
+    # PV = V - 1 off s0 and PV(s0) = V(s0) - 1 + 1.75
+    "additive-drift": ("bd", ("lyapunov", "set"), {"b": 1.75}, "holds"),
+    "generalized-drift": ("bd", ("lyapunov", "set"),
+                          {"b_fn": [1.75] + [0.0] * 9}, "holds"),
+    "absolute-continuity": ("bd", ("measure",), {}, "holds"),
+    "almost-invariance": ("bd", ("measure",),
+                          {"c": 3.0, "delta": 0.0, "horizon": 64}, "holds"),
+    "mean-almost-invariance": ("bd", ("measure",),
+                               {"c": 3.0, "delta": 0.0, "horizon": 64},
+                               "holds"),
+    "index-below-mass": ("bd", ("measure",), {"horizon": 64}, "holds"),
+    # PV(s8) = 19 > 0.9 V(s8) + 0.5 = 18.5
+    "harnack-drift": ("bd", ("lyapunov", "set"),
+                      {"gamma": 0.9, "c": 0.5, "z0": 0}, "fails"),
+    "harnack-pipeline": ("bd", ("lyapunov", "set"), {"horizon": 64},
+                         "holds"),
+    "perturbation": ("bd", ("lyapunov",),
+                     {"rho": 0.5, "gamma": 0.9, "c": 2.0, "l": 1.0,
+                      "eta": 0.0, "z0": 0, "r": 1.0}, "holds"),
+}
+FLAGS = {"lyapunov": ("--lyapunov", "lyapunov.json"),
+         "lyapunov1": ("--lyapunov", "lyapunov1.json"),
+         "set": ("--set", "C.json"), "measure": ("--measure", "m.json")}
+
+
+def certify_argv(root, bundle, files, params, condition):
+    argv = ["certify", "--condition", condition,
+            "--kernel", str(root / bundle / "kernel.json")]
+    for key in files:
+        flag, name = FLAGS[key]
+        argv += [flag, str(root / bundle / name)]
+    path = root / f"{condition}.params.json"
+    path.write_text(json.dumps(params))
+    return argv + ["--params", str(path)]
+
+
+class TestCertifyBundles:
+    """Every condition of certify on files that gen wrote."""
+
+    def test_every_condition_has_a_case(self):
+        assert set(CERTIFY_CASES) == set(cli.CONDITIONS)
+
+    @pytest.mark.parametrize("condition", sorted(CERTIFY_CASES))
+    def test_condition(self, condition, bundles, capsys):
+        bundle, files, params, verdict = CERTIFY_CASES[condition]
+        code, out = run(capsys, certify_argv(bundles, bundle, files, params,
+                                             condition))
+        doc = json.loads(out)
+        assert (code, doc["condition"], doc["verdict"]) == (
+            {"holds": 0, "fails": 2}[verdict], condition, verdict)
+        if verdict == "fails":
+            assert doc["witness"]["state"] == "s8"
+            assert_allclose(doc["witness"]["violation"], 0.5, rtol=1e-12)
+
+    @pytest.mark.parametrize("phi", [
+        {"family": "linear", "coef": 3.0},
+        {"family": "power", "coef": 1.0, "mult": 2.0, "p": 2.0},
+        {"family": "table", "knots_t": [0.0, 0.5, 1.0],
+         "knots_y": [0.0, 1.0, 1.5]},
+    ])
+    def test_modulus_family(self, phi, bundles, capsys):
+        code, out = run(capsys, certify_argv(
+            bundles, "bd", ("measure",), {"phi": phi, "delta": 0.0,
+                                          "horizon": 64},
+            "almost-invariance"))
+        doc = json.loads(out)
+        assert (code, doc["verdict"]) == (0, "holds")
+        assert doc["constants"]["phi"] == phi
+
+    @pytest.mark.parametrize("condition, files, params, message", [
+        ("almost-invariance", ("measure",),
+         {"phi": {"family": "cubic"}, "delta": 0.0},
+         "unknown modulus family 'cubic'"),
+        ("almost-invariance", ("measure",), {"delta": 0.0},
+         'params need "c" (linear modulus) or "phi"'),
+        ("almost-invariance", ("measure",), {"c": 3.0},
+         'params file needs "delta"'),
+        ("additive-drift", ("set",), {"b": 1.75},
+         "this condition needs --lyapunov"),
+        ("additive-drift", ("lyapunov",), {"b": 1.75},
+         "this condition needs --set"),
+        ("additive-drift", ("lyapunov", "set"), {},
+         'params file needs "b"'),
+        ("generalized-drift", ("lyapunov", "set"), {},
+         'params file needs "b_fn" (array over states)'),
+    ])
+    def test_usage_error(self, condition, files, params, message, bundles,
+                         capsys):
+        code = main(certify_argv(bundles, "bd", files, params, condition))
+        assert code == 1
+        assert capsys.readouterr().err == f"ergocert: error: {message}\n"
+
+
 class TestInvariant:
     def test_auto_runs_constructive_then_spectral(self, tmp_path, capsys):
         kp = write_kernel(tmp_path / "k.json", TWO_STATE)
@@ -223,6 +343,19 @@ class TestInvariant:
         code = main(["invariant", "--kernel", kp, "--method", "cesaro"])
         assert code == 1
         assert "needs --measure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, methods", [
+        ("eigen", ["eigen"]), ("cesaro", ["cesaro-adjoint"])])
+    def test_method_runs_one_solver(self, method, methods, tmp_path, capsys):
+        kp = write_kernel(tmp_path / "k.json", TWO_STATE)
+        mp = write_measure(tmp_path / "m.json", [0.5, 0.5])
+        code, out = run(capsys, ["invariant", "--kernel", kp, "--measure",
+                                 mp, "--method", method])
+        assert code == 0
+        doc = json.loads(out)
+        assert [r["method"] for r in doc["invariants"]] == methods
+        assert_allclose(doc["invariants"][0]["weights"], [2 / 3, 1 / 3],
+                        atol=1e-12)
 
     def test_generator_input_uses_continuous_solver(self, tmp_path, capsys):
         gp = str(tmp_path / "g.json")

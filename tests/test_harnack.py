@@ -157,6 +157,20 @@ class TestHarnackPipeline:
         assert np.isinf(cert.constants["M_star"])
         assert "escapes the support" in cert.notes
 
+    def test_empty_reference_row_fails(self):
+        # s0 loses all its mass in one step: its own comparison
+        # constant is 0, but the reference row it gives is the zero
+        # measure
+        P = Kernel(S3, [[0.0, 0.0, 0.0],
+                        [0.5, 0.5, 0.0],
+                        [0.0, 0.5, 0.5]], kind="sub-markovian")
+        cert = certify_harnack_pipeline(P, [0.0, 1.0, 2.0], [0])
+        assert cert.verdict == "fails"
+        assert cert.witness == {"state": "s0", "row_mass": 0.0}
+        assert cert.notes == "reference row carries no mass"
+        assert cert.constants["M_star"] == 0.0
+        assert [a.condition for a in cert.attached] == ["harnack-drift"]
+
     def test_default_reference_is_v_minimizer(self):
         cert = certify_harnack_pipeline(TWO_STATE, V01, [0, 1])
         assert cert.constants["z0"] == "s0"
@@ -233,6 +247,31 @@ class TestCertifyPerturbation:
         assert not cert.holds
         assert cert.witness == {"state": "s0", "violation": 0.5,
                                 "failed": "base-drift"}
+
+    def test_companion_drift_failure(self):
+        # the identity companion keeps V, so l = eta = 0 fails where V
+        # is largest: V(s7) = 7 / 0.4
+        bd = birth_death(8)
+        half = PerturbationSpec(StateFn(bd.kernel.space, np.full(8, 0.5)))
+        cert = certify_perturbation(bd.kernel, bd.V, 0.9, 2.0, half,
+                                    0.0, 0.0, 0, 2.0, 3.0)
+        assert cert.verdict == "fails"
+        assert cert.witness["state"] == "s7"
+        assert cert.witness["failed"] == "companion-drift"
+        assert_allclose(cert.witness["violation"], 17.5, rtol=1e-12)
+        assert cert.notes == "companion kernel misses the linear domination"
+
+    def test_window_row_escapes_the_reference(self):
+        # the window [V <= 3] is {s0, s1}, and s1 steps to s2, which the
+        # row of s0 misses
+        bd = birth_death(8)
+        half = PerturbationSpec(StateFn(bd.kernel.space, np.full(8, 0.5)))
+        cert = certify_perturbation(bd.kernel, bd.V, 0.9, 2.0, half,
+                                    1.0, 0.0, 0, 2.0, 3.0)
+        assert cert.verdict == "fails"
+        assert cert.witness == {"state": "s1", "M": float("inf")}
+        assert cert.notes == "window row escapes the reference support"
+        assert np.isinf(cert.constants["M"])
 
     def test_markovian_base_with_sub_markovian_companion(self):
         # the mixture of a markovian P and a sub-markovian Q is

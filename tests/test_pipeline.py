@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from ergocert import pipeline, solver
 from ergocert.certificates import almost, averages
-from ergocert.core import Kernel, Measure, StateFn, StateSpace
+from ergocert.core import Kernel, Measure, StateFn, StateSpace, dirac
 from ergocert.pipeline import (
     DEFAULT_STEPS,
     Report,
@@ -18,6 +18,7 @@ from ergocert.pipeline import (
 )
 from ergocert import io
 from ergocert.scenarios import birth_death, generate
+from ergocert.semigroup import Generator
 from oracles import check_projector
 
 S2 = StateSpace.range(2)
@@ -451,6 +452,32 @@ class TestEmission:
         assert rep.errors == []
         assert rep.profiles["reference"] == "supplied directly"
         assert (tmp_path / "report.json").exists()
+
+    def test_generator_and_start_from_files(self, tmp_path):
+        # Q = K - I of a birth-death chain and a Dirac start: the
+        # continuous solver reports the class law and residual that
+        # decompose left, and no four-way block runs on a generator
+        bd = birth_death(30, 0.7)
+        K = bd.kernel
+        io.save_document(io.generator_to_doc(
+            Generator(K.space, K.rows - np.eye(K.size))),
+            tmp_path / "generator.json")
+        io.save_document(io.measure_to_doc(dirac(K.space, 0)),
+                         tmp_path / "mu.json")
+        config = {"type": "pipeline-config",
+                  "inputs": {"generator": "generator.json",
+                             "mu": "mu.json"},
+                  "steps": ["auxiliary-measure", "absolute-continuity",
+                            "almost-invariance", "invariant"]}
+        rep = run_pipeline(config, base_dir=tmp_path)
+        assert rep.errors == []
+        assert "four_way" not in rep.profiles
+        [record] = rep.invariants_found
+        assert record["method"] == "generator-eigen"
+        G = io._load(tmp_path / "generator.json", "generator")
+        assert record["residual"] == solver.decompose(G).residuals[0]
+        w = np.asarray(record["weights"])
+        assert np.abs(w / w.sum() - bd.m.weights).sum() <= 1e-12
 
     def test_infinite_lyapunov_from_file(self, tmp_path):
         bd = birth_death(8, 0.7)

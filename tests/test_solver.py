@@ -1,5 +1,7 @@
 """Decompositions, projectors, and the constructive invariant solvers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -22,7 +24,8 @@ from ergocert.solver import (
     verify_count_bound,
 )
 from oracles import (censor_pivotwise, cesaro_doubling, check_projector,
-                     gth_stationary, product_spy, push_spy)
+                     check_resolvent_fixed, gth_stationary, product_spy,
+                     push_spy)
 
 S2 = StateSpace.range(2)
 S3 = StateSpace.range(3)
@@ -123,9 +126,12 @@ class TestCheckProjector:
     """The projector identities that decompose is held to in the tests."""
 
     def test_accepts_every_decomposition(self):
-        for S in (TWO_STATE, ABSORBING_PAIR, BRIDGE, SLOW_MIXING,
-                  *stiff_generators()):
+        for S in (TWO_STATE, ABSORBING_PAIR, BRIDGE, SLOW_MIXING):
             check_projector(decompose(S), S)
+        for G in stiff_generators():
+            d = decompose(G)
+            check_projector(d, G)
+            check_resolvent_fixed(d, G)
 
     def test_zero_projector_rejected(self, monkeypatch):
         # the zero matrix satisfies all three projector identities
@@ -184,6 +190,7 @@ class TestRateForm:
                                             [1.0, 0.0, 3.0, 0.0, -4.0]])
         d = decompose(G)
         check_projector(d, G)
+        check_resolvent_fixed(d, G)
         assert [list(c.members) for c in d.classes] == [[0, 1], [2, 3]]
         assert list(d.transient.members) == [4]
         assert_allclose(d.class_measures[0].weights,
@@ -192,12 +199,14 @@ class TestRateForm:
         assert_allclose(d.absorption.sum(axis=1), 1.0, rtol=1e-15)
 
     def test_solve_continuous_forms_no_operator(self, monkeypatch):
+        # the class law and its residual come off decompose: no push
         calls = push_spy(monkeypatch)
         G = Generator(S3, [[-1.0, 0.5, 0.5], [1.0, -2.0, 1.0],
                            [0.2, 0.3, -0.5]])
         (res,) = solve_continuous(G)
         assert res.residual <= 1e-12
-        assert calls and (3, 3) not in [rhs for _, rhs in calls]
+        assert res.residual == decompose(G).residuals[0]
+        assert calls == []
 
 
 class TestStrongComponents:
@@ -854,19 +863,33 @@ class TestSolveContinuous:
         assert_allclose(found[1], [2 / 3, 1 / 3, 0.0, 0.0], atol=1e-12)
 
     def test_class_laws_checked_on_the_class_block(self, monkeypatch):
-        # 100 two-state classes: every push stays on one class block
+        # 100 two-state classes: solve_continuous pushes nothing, and
+        # the oracle's every push stays on one class block
         calls = push_spy(monkeypatch)
         rates = np.zeros((200, 200))
         for lo in range(0, 200, 2):
             up, down = 1.0 + lo / 100, 2.0
             rates[lo:lo + 2, lo:lo + 2] = [[-up, up], [down, -down]]
-        results = solve_continuous(Generator(StateSpace.range(200), rates))
+        G = Generator(StateSpace.range(200), rates)
+        results = solve_continuous(G)
         assert len(results) == 100
-        assert calls and max(max(a) for a, _ in calls) <= 2
+        assert calls == []
+        check_resolvent_fixed(decompose(G), G)
+        assert len(calls) == 300 and max(max(a) for a, _ in calls) <= 2
         for k, res in enumerate(results):
             up = 1.0 + 2 * k / 100
             assert_allclose(res.nu.weights[2 * k:2 * k + 2],
                             [2.0 / (up + 2.0), up / (up + 2.0)], rtol=1e-12)
+
+
+    def test_resolvent_oracle_rejects_a_wrong_law(self):
+        G = Generator(S2, [[-1.0, 1.0], [2.0, -2.0]])
+        d = decompose(G)
+        check_resolvent_fixed(d, G)
+        wrong = dataclasses.replace(
+            d, class_measures=(Measure(S2, [0.5, 0.5]),))
+        with pytest.raises(AssertionError, match="not fixed"):
+            check_resolvent_fixed(wrong, G)
 
 
 class TestCountBound:
